@@ -84,18 +84,32 @@ fn engine_mutant_without_drain_is_flagged() {
     assert!(caught > 0, "no mutant was flagged");
 }
 
+/// The byte range of `apply_group`'s `self.log_txn(..)...?;`
+/// statement — the store's one log-then-apply sequence.
+fn apply_group_txn_statement(store: &str) -> std::ops::Range<usize> {
+    let group = store
+        .find("pub fn apply_group(")
+        .expect("apply_group anchor moved");
+    let start = group
+        + store[group..]
+            .find("        self.log_txn(mem, seq, &writes)")
+            .expect("apply_group's log_txn anchor moved");
+    let end = start + store[start..].find("?;\n").expect("statement end") + 3;
+    start..end
+}
+
 #[test]
 fn kv_mutant_without_txn_append_is_flagged() {
-    // Remove the batched append-plus-marker from the real store: the
-    // surviving `apply_writes` now runs from the idle WAL state, the
-    // exact torn-transaction window the rule exists for.
+    // Remove the batched append-plus-marker from the real store's
+    // group commit: the surviving `apply_writes` now runs from the
+    // idle WAL state, the exact torn-transaction window the rule
+    // exists for.
     let rel = "crates/kv/src/store.rs";
     let store = read_crate_file(rel);
     assert!(findings_for(rel, &store, "persist-order").is_empty());
 
-    let needle = "        self.log_txn(mem, seq, &writes)?;\n";
-    assert!(store.contains(needle), "log_txn anchor moved");
-    let mutant = store.replacen(needle, "", 1);
+    let mut mutant = store.clone();
+    mutant.replace_range(apply_group_txn_statement(&store), "");
     let hits = findings_for(rel, &mutant, "persist-order");
     assert!(!hits.is_empty(), "apply without append/commit not flagged");
     assert!(
@@ -179,17 +193,17 @@ fn stats_mutant_with_hashed_merge_is_flagged() {
 
 #[test]
 fn workload_mutant_with_cloned_rng_is_flagged() {
-    // Duplicate the history generator's RNG by cloning instead of
+    // Duplicate the request generator's RNG by cloning instead of
     // deriving a stream: two "independent" shards replay the same
     // randomness.
-    let rel = "crates/workloads/src/kv.rs";
-    let kv = read_crate_file(rel);
+    let rel = "crates/workloads/src/service.rs";
+    let service = read_crate_file(rel);
     let rule = "shard-safety/rng-fork-discipline";
-    assert!(findings_for(rel, &kv, rule).is_empty());
+    assert!(findings_for(rel, &service, rule).is_empty());
 
-    let anchor = "let mut rng = SplitMix64::stream(seed, 0x6b76_6f70_7321);";
-    assert!(kv.contains(anchor), "rng anchor moved");
-    let mutant = kv.replacen(
+    let anchor = "let mut rng = SplitMix64::stream(seed, 0x73_7276_6372_6571);";
+    assert!(service.contains(anchor), "rng anchor moved");
+    let mutant = service.replacen(
         anchor,
         &format!("{anchor}\n    let _shared = rng.clone();"),
         1,
@@ -243,18 +257,27 @@ fn service_mutant_persisting_on_the_volatile_path_is_flagged() {
 
 #[test]
 fn store_mutant_with_a_payload_less_marker_is_flagged() {
-    // Swap `put`'s batched append-plus-marker for a bare marker: the
-    // commit frontier would advance over a transaction recovery cannot
-    // replay.
+    // Swap `apply_group`'s batched append-plus-marker for a bare
+    // marker: the commit frontier would advance over a transaction
+    // recovery cannot replay. `put` and `delete` are one-mutation
+    // groups, so the effect inference carries the defect to them too.
     let rel = "crates/kv/src/store.rs";
     let store = read_crate_file(rel);
     let rule = "durability-contract";
     assert!(findings_for(rel, &store, rule).is_empty());
 
-    let anchor = "self.log_txn(mem, seq, &writes)";
-    assert!(store.contains(anchor), "put's txn anchor moved");
-    let mutant = store.replacen(anchor, "self.log_commit(mem, seq, &writes)", 1);
+    let txn = apply_group_txn_statement(&store);
+    let statement = store[txn.clone()].replacen("self.log_txn(", "self.log_commit(", 1);
+    let mut mutant = store.clone();
+    mutant.replace_range(txn, &statement);
     let hits = findings_for(rel, &mutant, rule);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].1.contains("commit marker"), "{}", hits[0].1);
+    let flagged: Vec<&str> = hits
+        .iter()
+        .map(|(_, m)| m.split('`').nth(1).unwrap_or_default())
+        .collect();
+    assert_eq!(flagged, ["put", "delete", "apply_group"], "{hits:?}");
+    assert!(
+        hits.iter().all(|(_, m)| m.contains("commit marker")),
+        "{hits:?}"
+    );
 }

@@ -4,40 +4,40 @@
 //! Replays the persistent workload mixes of §4 over every persistence
 //! scheme (write-back baseline, TriadNVM-1/2/3, Strict) on
 //! `SplitMix64`-seeded traces, then crashes and functionally recovers
-//! each cell. Two extra rows (`kv-zipf`, `kv-uniform`) drive the
-//! `triad-kv` transactional store fleet and verify recovery against an
-//! in-DRAM oracle. Four serving rows (`fleet-1/2/4`, `fleet-nogc`)
-//! drive the sharded [`KvService`] front-end on the same seeded
-//! request schedule and measure aggregate throughput vs. shard count
-//! and the commit-marker amortization of group commit (window 8 vs.
-//! the unbatched window-1 `fleet-nogc` row). Eight recov rows
-//! (`stack-mixed-1..4`, `queue-mixed-1..4`) drive the detectably
-//! recoverable Treiber stack / MS queue from `triad-recov` through the
-//! seeded interleaving harness at 1–4 threads, with the concurrent
-//! crash-equivalence oracle checked on every run; their `recovered`
-//! column re-runs the cell with a mid-run per-thread crash injected
-//! and demands the oracle still pass. Three durability-mode rows
-//! (`mode-strict`, `mode-buffered`, `mode-inmemory`) run one tenant
-//! under each tier of the durability contract
-//! (`docs/durability-contract.md`), crash a shard with work still
-//! staged, and record what recovery measured against the tier's loss
-//! bound. Emits `BENCH_pr10.json` (deterministic: running twice with
-//! the same seed is byte-identical) plus a human-readable table.
+//! each cell. Trace cells enable an 8-deep persist write-combining
+//! window ([`System::set_persist_batch`]).
 //!
-//! Since PR 6 the matrix runs over the batched write path: trace cells
-//! enable an 8-deep persist write-combining window
-//! ([`System::set_persist_batch`]) and the KV cells inherit batching
-//! through the store's WAL apply path, so comparing the emitted file
-//! against the checked-in `BENCH_pr4.json` (same matrix, scalar
-//! persists) measures the batch pipeline; `bench-delta` does exactly
-//! that in CI.
+//! Every KV row runs through the one multi-shard driver, the sharded
+//! [`KvService`] front-end. Two rows (`kv-zipf`, `kv-uniform`) drive
+//! a four-shard service one request per submit under each scheme and
+//! verify recovery of every shard against an in-DRAM oracle. Four
+//! serving rows (`fleet-1/2/4`, `fleet-nogc`) push one seeded request
+//! schedule through 1–4 shards and measure aggregate throughput vs.
+//! shard count and the commit-marker amortization of group commit
+//! (window 8 vs. the unbatched window-1 `fleet-nogc` row). Three
+//! durability-mode rows (`mode-strict`, `mode-buffered`,
+//! `mode-inmemory`) run one tenant under each tier of the durability
+//! contract (`docs/durability-contract.md`), crash a shard with work
+//! still staged, and record what recovery measured against the tier's
+//! loss bound. Eight recov rows (`stack-mixed-1..4`,
+//! `queue-mixed-1..4`) drive the detectably recoverable Treiber stack
+//! / MS queue from `triad-recov` through the seeded interleaving
+//! harness at 1–4 threads, with the concurrent crash-equivalence
+//! oracle checked on every run; their `recovered` column re-runs the
+//! cell with a mid-run per-thread crash injected and demands the
+//! oracle still pass.
+//!
+//! Emits `BENCH_pr12.json` (deterministic: running twice with the
+//! same seed is byte-identical) plus a human-readable table. That file
+//! is the one checked-in baseline: CI gates the smoke matrix against
+//! it with `bench-delta --check`.
 //!
 //! Usage:
 //!   cargo run -p triad-bench --release --bin triad-report
 //!   cargo run -p triad-bench --release --bin triad-report -- --smoke
 //!   ... -- --ops 2000 --out /tmp/report.json --seed 7
 //!
-//! `--smoke` shrinks the matrix (two workloads, fewer ops) for CI.
+//! `--smoke` shrinks the matrix (three workloads, fewer ops) for CI.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -45,10 +45,10 @@ use std::fmt::Write as _;
 use triad_core::{PersistScheme, SecureMemoryBuilder, System};
 use triad_sim::config::SystemConfig;
 use triad_sim::stats::Histogram;
-use triad_workloads::kv::{generate_history, oracle_apply, KvFleet, KvSpec, Model};
+use triad_sim::Time;
 use triad_workloads::recov::StructureKind;
 use triad_workloads::service::{
-    generate_requests, DurabilityMode, KvService, Request, Response, ServiceSpec,
+    generate_requests, DurabilityMode, KvMix, KvService, Request, Response, ServiceSpec,
 };
 use triad_workloads::{build_workload, run_recov_mix, RecovMixSpec, WorkloadEnv};
 
@@ -186,68 +186,123 @@ fn run_cell(workload: &'static str, scheme: PersistScheme, ops: u64, seed: u64) 
     }
 }
 
-/// A KV cell: drives the `triad-kv` fleet directly on `SecureMemory`
-/// (no trace cores), measuring per-op latency from the engine clock.
-/// Its recovery column is stronger than the trace cells': after the
-/// crash the fleet is *reopened* — engine recovery plus per-shard redo
-/// log replay — and `recovered` is true only if the surviving state
-/// equals the in-DRAM oracle exactly. WriteBack is expected to fail
-/// that bar; that gap is the row's point.
-fn run_kv_cell(workload: &'static str, scheme: PersistScheme, ops: u64, seed: u64) -> Cell {
-    let spec = if workload == "kv-zipf" {
-        KvSpec::report_zipf(ops)
-    } else {
-        KvSpec::report_uniform(ops)
-    };
-    let history = generate_history(&spec, seed);
-    let mut mem = SecureMemoryBuilder::new()
-        .config(report_config())
-        .scheme(scheme)
-        .key_seed(seed)
-        .build()
-        .expect("report config is valid");
-    let mut fleet = KvFleet::create(&mut mem, &spec).expect("fleet create");
-    let mut oracle = Model::new();
-    let mut latency = Histogram::new();
-    let t0 = mem.now();
-    for op in &history {
-        let start = mem.now();
-        fleet.apply(&mut mem, op).expect("clean KV run");
-        oracle_apply(&mut oracle, op);
-        latency.record(mem.now().since(start).as_ns());
-    }
-    let elapsed = mem.now().since(t0).as_secs_f64();
-    let stats = mem.stats();
-    let mem_stats = mem.mem_stats();
+/// Per-shard simulated clocks, in shard order.
+fn shard_clocks(svc: &KvService) -> Vec<Time> {
+    (0..svc.shard_count())
+        .map(|i| svc.shard_mem(i).expect("shard in range").now())
+        .collect()
+}
 
-    mem.crash();
-    let (recovered, recovery_blocks_read, recovery_ns) = match KvFleet::recover(&mut mem) {
-        Ok((mut reopened, report)) => (
-            report.persistent_recovered
-                && reopened
-                    .dump(&mut mem)
-                    .map(|state| state == oracle)
-                    .unwrap_or(false),
-            report.persistent_blocks_read + report.non_persistent_blocks_read,
-            report.estimated_duration.as_ns(),
-        ),
-        Err(_) => (false, 0, 0),
+/// NVM writes, persist and eviction metadata writes, and WPQ-full
+/// events, summed over the service's shards.
+fn write_totals(svc: &KvService) -> [u64; 4] {
+    let mut totals = [0u64; 4];
+    for i in 0..svc.shard_count() {
+        let mem = svc.shard_mem(i).expect("shard in range");
+        totals[0] += mem.mem_stats().writes;
+        totals[1] += mem.stats().persist_metadata_writes();
+        totals[2] += mem.stats().evict_metadata_writes();
+        totals[3] += mem.mem_stats().wpq_full_events;
+    }
+    totals
+}
+
+/// A KV cell: the seeded kv-* schedule (Zipf(0.99) or uniform keys
+/// over 1024 keys, 8–256 B values, 4:9:2:1 put/get/delete/scan)
+/// driven through a four-shard [`KvService`] under the row's scheme,
+/// one request per submit with group window 1, so every mutation is a
+/// one-mutation group commit. A request's latency is the clock advance
+/// of the shard it routes to; a scan's is the largest advance over all
+/// shards. Throughput is requests over the slowest shard's elapsed
+/// clock. Its recovery column is stronger than the trace cells':
+/// every shard is crashed and recovered (engine recovery plus redo
+/// log replay), and `recovered` is true only if the merged durable
+/// state equals the in-DRAM oracle exactly. Blocks read are summed
+/// over shards; recovery time is the slowest shard's, as shards
+/// recover independently. WriteBack is expected to fail that bar;
+/// that gap is the row's point.
+fn run_kv_cell(workload: &'static str, scheme: PersistScheme, ops: u64, seed: u64) -> Cell {
+    let spec = ServiceSpec {
+        shards: 4,
+        group_window: 1,
+        scheme,
+        key_seed: seed,
+        config: Some(report_config()),
+        ..ServiceSpec::new(4)
     };
+    let zipf_s = (workload == "kv-zipf").then_some(0.99);
+    let reqs = generate_requests(
+        seed,
+        ops as usize,
+        1024,
+        (8, 256),
+        zipf_s,
+        KvMix::READ_HEAVY,
+    );
+    let mut svc = KvService::create(&spec).expect("kv cell create");
+    svc.set_threaded(false);
+    let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    let mut latency = Histogram::new();
+    let t0 = shard_clocks(&svc);
+    for req in &reqs {
+        let before = shard_clocks(&svc);
+        let resps = svc.submit(std::slice::from_ref(req)).expect("clean KV run");
+        let after = shard_clocks(&svc);
+        let advance = |i: usize| after[i].since(before[i]).as_ns();
+        latency.record(match req {
+            Request::Put { key, .. } | Request::Get { key } | Request::Delete { key } => {
+                advance(svc.route(*key))
+            }
+            Request::Scan => (0..after.len()).map(advance).max().unwrap_or(0),
+        });
+        match (req, resps.first()) {
+            (Request::Put { key, value }, Some(Response::Done)) => {
+                model.insert(*key, value.clone());
+            }
+            (Request::Delete { key }, Some(Response::Done)) => {
+                model.remove(key);
+            }
+            _ => {}
+        }
+    }
+    let elapsed = shard_clocks(&svc)
+        .iter()
+        .zip(&t0)
+        .map(|(end, start)| end.since(*start).as_secs_f64())
+        .fold(0.0, f64::max);
+    let [nvm_writes, pmw, emw, wpq] = write_totals(&svc);
+
+    for i in 0..svc.shard_count() {
+        svc.shard_mem_mut(i).expect("shard in range").crash();
+    }
+    let (mut recovered, mut recovery_blocks_read, mut recovery_ns) = (true, 0u64, 0u64);
+    for i in 0..svc.shard_count() {
+        match svc.recover_shard(i) {
+            Ok(report) => {
+                recovered &= report.persistent_recovered;
+                recovery_blocks_read +=
+                    report.persistent_blocks_read + report.non_persistent_blocks_read;
+                recovery_ns = recovery_ns.max(report.estimated_duration.as_ns());
+            }
+            Err(_) => recovered = false,
+        }
+    }
+    recovered = recovered && svc.dump().map(|state| state == model).unwrap_or(false);
 
     Cell {
         workload,
         scheme,
-        ops: history.len() as u64,
+        ops: reqs.len() as u64,
         throughput: if elapsed > 0.0 {
-            history.len() as f64 / elapsed
+            reqs.len() as f64 / elapsed
         } else {
             0.0
         },
         latency,
-        nvm_writes: mem_stats.writes,
-        persist_metadata_writes: stats.persist_metadata_writes(),
-        evict_metadata_writes: stats.evict_metadata_writes(),
-        wpq_full_events: mem_stats.wpq_full_events,
+        nvm_writes,
+        persist_metadata_writes: pmw,
+        evict_metadata_writes: emw,
+        wpq_full_events: wpq,
         recovered,
         recovery_blocks_read,
         recovery_ns,
@@ -284,7 +339,7 @@ fn run_fleet_cell(
         ..ServiceSpec::new(shards)
     };
     let mut svc = KvService::create(&spec).expect("fleet create");
-    let reqs = generate_requests(seed, ops as usize, 1024, (8, 64));
+    let reqs = generate_requests(seed, ops as usize, 1024, (8, 64), None, KvMix::UPDATE_HEAVY);
     let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let mut latency = Histogram::new();
     let t0 = svc.max_shard_time();
@@ -305,14 +360,7 @@ fn run_fleet_cell(
         }
     }
     let elapsed = svc.max_shard_time().since(t0).as_secs_f64();
-    let (mut nvm_writes, mut pmw, mut emw, mut wpq) = (0u64, 0u64, 0u64, 0u64);
-    for i in 0..svc.shard_count() {
-        let mem = svc.shard_mem(i).expect("shard in range");
-        nvm_writes += mem.mem_stats().writes;
-        pmw += mem.stats().persist_metadata_writes();
-        emw += mem.stats().evict_metadata_writes();
-        wpq += mem.mem_stats().wpq_full_events;
-    }
+    let [nvm_writes, pmw, emw, wpq] = write_totals(&svc);
     let groups = svc.merged_group_stats();
 
     svc.shard_mem_mut(0).expect("shard 0").crash();
@@ -378,7 +426,7 @@ fn run_mode_cell(workload: &'static str, mode: DurabilityMode, ops: u64, seed: u
     };
     let mut svc = KvService::create(&spec).expect("mode cell create");
     svc.set_tenant_mode(1, mode);
-    let reqs = generate_requests(seed, ops as usize, 1024, (8, 64));
+    let reqs = generate_requests(seed, ops as usize, 1024, (8, 64), None, KvMix::UPDATE_HEAVY);
     let mut latency = Histogram::new();
     let mut barriers = 0u64;
     let t0 = svc.max_shard_time();
@@ -392,14 +440,7 @@ fn run_mode_cell(workload: &'static str, mode: DurabilityMode, ops: u64, seed: u
         latency.record(svc.max_shard_time().since(c0).as_ns() / chunk.len() as u64);
     }
     let elapsed = svc.max_shard_time().since(t0).as_secs_f64();
-    let (mut nvm_writes, mut pmw, mut emw, mut wpq) = (0u64, 0u64, 0u64, 0u64);
-    for i in 0..svc.shard_count() {
-        let mem = svc.shard_mem(i).expect("shard in range");
-        nvm_writes += mem.mem_stats().writes;
-        pmw += mem.stats().persist_metadata_writes();
-        emw += mem.stats().evict_metadata_writes();
-        wpq += mem.mem_stats().wpq_full_events;
-    }
+    let [nvm_writes, pmw, emw, wpq] = write_totals(&svc);
 
     svc.shard_mem_mut(0).expect("shard 0").crash();
     let (recovered, recovery_blocks_read, recovery_ns, extra) = match svc.recover_shard(0) {
@@ -650,7 +691,7 @@ fn print_table(cells: &[Cell]) {
 fn main() {
     let mut smoke = false;
     let mut ops: Option<u64> = None;
-    let mut out_path = String::from("BENCH_pr10.json");
+    let mut out_path = String::from("BENCH_pr12.json");
     let mut seed: u64 = 42;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -675,7 +716,7 @@ fn main() {
     // The fixed matrix: the PMDK persistent structures plus the four
     // MIX workloads, i.e. every trace with a persistent-store component
     // (pure SPEC lanes exercise no persists and tell the schemes apart
-    // far less) — plus the two triad-kv fleet rows (`kv-zipf`,
+    // far less) — plus the two triad-kv rows (`kv-zipf`,
     // `kv-uniform`), which are driven through `run_kv_cell` and carry
     // the oracle-verified recovery column.
     let workloads: &[&'static str] = if smoke {

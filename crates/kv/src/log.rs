@@ -106,72 +106,16 @@ impl RedoLog {
         PhysAddr(self.base.0 + index * BLOCK_BYTES as u64)
     }
 
-    /// Appends one write record (meta + payload, both persisted).
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::LogFull`] when fewer than two blocks remain.
-    pub fn append_write(
-        &mut self,
-        mem: &mut SecureMemory,
-        seq: u64,
-        target: PhysAddr,
-        payload: &[u8; BLOCK_BYTES],
-    ) -> Result<()> {
-        if self.cursor + 2 > self.blocks {
-            return Err(KvError::LogFull);
-        }
-        let mut meta = [0u8; BLOCK_BYTES];
-        meta[..4].copy_from_slice(&LOG_MAGIC.to_le_bytes());
-        meta[4] = KIND_WRITE;
-        meta[8..16].copy_from_slice(&seq.to_le_bytes());
-        meta[16..24].copy_from_slice(&target.0.to_le_bytes());
-        meta[24..32].copy_from_slice(&write_checksum(seq, target.0, payload).to_le_bytes());
-        let maddr = self.block_addr(self.cursor);
-        let paddr = self.block_addr(self.cursor + 1);
-        mem.write(maddr, &meta)?;
-        mem.persist(maddr)?;
-        mem.write(paddr, payload)?;
-        mem.persist(paddr)?;
-        self.cursor += 2;
-        Ok(())
-    }
-
-    /// Appends and persists the commit marker: the transaction's
-    /// durability point.
-    ///
-    /// # Errors
-    ///
-    /// [`KvError::LogFull`] when the log is exhausted.
-    pub fn append_commit(&mut self, mem: &mut SecureMemory, seq: u64, count: u64) -> Result<()> {
-        if self.cursor + 1 > self.blocks {
-            return Err(KvError::LogFull);
-        }
-        let mut marker = [0u8; BLOCK_BYTES];
-        marker[..4].copy_from_slice(&LOG_MAGIC.to_le_bytes());
-        marker[4] = KIND_COMMIT;
-        marker[8..16].copy_from_slice(&seq.to_le_bytes());
-        marker[16..24].copy_from_slice(&count.to_le_bytes());
-        marker[24..32].copy_from_slice(&commit_checksum(seq, count).to_le_bytes());
-        let addr = self.block_addr(self.cursor);
-        mem.write(addr, &marker)?;
-        mem.persist(addr)?;
-        self.cursor += 1;
-        Ok(())
-    }
-
     /// Appends a whole transaction — every write record plus the
     /// commit marker — through one engine [`WriteBatch`].
     ///
     /// Members are pushed in log order and each member is its own
     /// durability point inside the batch, so a crash anywhere leaves a
     /// durable *prefix* of the records: the commit marker is durable
-    /// only once every record before it is — exactly the ordering the
-    /// scalar [`RedoLog::append_write`]/[`RedoLog::append_commit`]
-    /// pair enforces — while the AES pad pass and the coalesced
-    /// metadata commit are shared across the transaction (log blocks
-    /// are consecutive, so their counters, MACs and BMT ancestors
-    /// merge almost perfectly).
+    /// only once every record before it is, while the AES pad pass and
+    /// the coalesced metadata commit are shared across the transaction
+    /// (log blocks are consecutive, so their counters, MACs and BMT
+    /// ancestors merge almost perfectly).
     ///
     /// # Errors
     ///
@@ -312,7 +256,7 @@ impl RedoLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triad_core::{PersistScheme, SecureMemoryBuilder};
+    use triad_core::{PersistScheme, SecureMemoryBuilder, SecureMemoryError};
 
     fn mem() -> SecureMemory {
         SecureMemoryBuilder::new()
@@ -331,12 +275,16 @@ mod tests {
         )
     }
 
+    /// A one-write transaction: meta, payload, marker.
+    fn one(target: PhysAddr, byte: u8) -> [(PhysAddr, [u8; BLOCK_BYTES]); 1] {
+        [(target, [byte; BLOCK_BYTES])]
+    }
+
     #[test]
     fn committed_txn_replays_after_crash_before_apply() {
         let mut m = mem();
         let (mut log, data) = setup(&mut m, 8);
-        log.append_write(&mut m, 1, data, &[7u8; 64]).unwrap();
-        log.append_commit(&mut m, 1, 1).unwrap();
+        log.append_txn(&mut m, 1, &one(data, 7)).unwrap();
         // Crash before the in-place apply.
         m.crash();
         m.recover().unwrap();
@@ -355,13 +303,18 @@ mod tests {
     fn uncommitted_txn_is_discarded() {
         let mut m = mem();
         let (mut log, data) = setup(&mut m, 8);
-        log.append_write(&mut m, 1, data, &[7u8; 64]).unwrap();
-        // No commit marker; crash.
-        m.crash();
+        // Crash inside the batch: meta and payload persist, the
+        // marker (the third member) does not.
+        m.inject_crash_after_persists(2);
+        assert_eq!(
+            log.append_txn(&mut m, 1, &one(data, 7)).unwrap_err(),
+            KvError::Memory(SecureMemoryError::NeedsRecovery)
+        );
         m.recover().unwrap();
         let mut log = RedoLog::new(log.base, log.blocks);
         let (stats, max_seq) = log.replay(&mut m).unwrap();
         assert_eq!(stats.txns_applied, 0);
+        assert_eq!(stats.records_scanned, 1, "the write record survived");
         assert_eq!(stats.records_discarded, 1);
         assert_eq!(max_seq, 1, "uncommitted seq still fences the numbering");
         assert_eq!(m.read(data).unwrap(), [0u8; 64], "must not be applied");
@@ -373,15 +326,12 @@ mod tests {
         let (mut log, data) = setup(&mut m, 12);
         let d2 = PhysAddr(data.0 + 64);
         // Txn 1: three writes, committed and applied; cursor rewinds.
-        for t in [data, d2, data] {
-            log.append_write(&mut m, 1, t, &[1u8; 64]).unwrap();
-        }
-        log.append_commit(&mut m, 1, 3).unwrap();
+        let txn1: Vec<_> = [data, d2, data].map(|t| (t, [1u8; 64])).into();
+        log.append_txn(&mut m, 1, &txn1).unwrap();
         log.rewind();
-        // Txn 2: one write, committed — overwrites only the first two
-        // log blocks; txn 1's tail (blocks 2..7) is stale leftovers.
-        log.append_write(&mut m, 2, data, &[2u8; 64]).unwrap();
-        log.append_commit(&mut m, 2, 1).unwrap();
+        // Txn 2: one write, committed — overwrites only the first three
+        // log blocks; txn 1's tail (blocks 3..7) is stale leftovers.
+        log.append_txn(&mut m, 2, &one(data, 2)).unwrap();
         m.crash();
         m.recover().unwrap();
         let mut log = RedoLog::new(log.base, log.blocks);
@@ -396,9 +346,10 @@ mod tests {
     fn torn_meta_block_is_detected() {
         let mut m = mem();
         let (mut log, data) = setup(&mut m, 8);
-        log.append_write(&mut m, 1, data, &[3u8; 64]).unwrap();
+        log.append_txn(&mut m, 1, &one(data, 3)).unwrap();
         // Corrupt the payload under the meta's checksum: simulates a
-        // torn pair (meta durable, payload not).
+        // torn pair (meta durable, payload not). The marker behind it
+        // is never reached.
         m.write(PhysAddr(log.base.0 + 64), &[0xEE; 64]).unwrap();
         m.persist(PhysAddr(log.base.0 + 64)).unwrap();
         let mut log = RedoLog::new(log.base, log.blocks);
@@ -424,8 +375,7 @@ mod tests {
     fn replay_is_idempotent() {
         let mut m = mem();
         let (mut log, data) = setup(&mut m, 8);
-        log.append_write(&mut m, 1, data, &[9u8; 64]).unwrap();
-        log.append_commit(&mut m, 1, 1).unwrap();
+        log.append_txn(&mut m, 1, &one(data, 9)).unwrap();
         let mut log2 = RedoLog::new(log.base, log.blocks);
         let (s1, _) = log2.replay(&mut m).unwrap();
         let (s2, _) = log2.replay(&mut m).unwrap();
@@ -438,16 +388,22 @@ mod tests {
     fn log_full_is_reported() {
         let mut m = mem();
         let (mut log, data) = setup(&mut m, 3);
-        log.append_write(&mut m, 1, data, &[1u8; 64]).unwrap();
+        // Two writes need 5 blocks: rejected before anything persists.
+        let persists = m.stats().persists;
+        let two = [(data, [1u8; 64]), (data, [1u8; 64])];
         assert_eq!(
-            log.append_write(&mut m, 1, data, &[1u8; 64]).unwrap_err(),
+            log.append_txn(&mut m, 1, &two).unwrap_err(),
             KvError::LogFull
         );
-        log.append_commit(&mut m, 1, 1).unwrap();
+        assert_eq!(m.stats().persists, persists);
+        assert_eq!(log.free_blocks(), 3);
+        // One write (meta, payload, marker) fills the log exactly.
+        log.append_txn(&mut m, 1, &one(data, 1)).unwrap();
         assert_eq!(log.free_blocks(), 0);
         assert_eq!(
-            log.append_commit(&mut m, 1, 1).unwrap_err(),
+            log.append_txn(&mut m, 2, &[]).unwrap_err(),
             KvError::LogFull,
+            "not even a bare marker fits"
         );
         assert_eq!(log.capacity_blocks(), 3);
     }

@@ -18,16 +18,17 @@
 //!
 //! ## Mutation protocol
 //!
-//! Every put/delete computes its full write set (new entry blocks plus
-//! the one pointer block that links them in), then runs
-//! `log_txn → apply_writes → rewind`: `log_txn` batches the redo
-//! records and the checksummed commit marker into one `WriteBatch` in
-//! log order (per-member durability makes the marker — the last
-//! member — the durability point, exactly as the scalar
-//! append/commit sequence it replaced), the in-place apply follows.
-//! The `persist-order` lint enforces that call order structurally. Old entry blocks are leaked on overwrite and
-//! delete — the bump allocator never reuses space, which is exactly
-//! what makes torn in-place updates impossible.
+//! Every mutation goes through [`KvStore::apply_group`]; `put` and
+//! `delete` are one-mutation groups. A group stages its full write set
+//! (new entry blocks plus the pointer blocks that link them in or out)
+//! and then runs `log_txn → apply_writes → rewind`: `log_txn` batches
+//! the redo records and the checksummed commit marker into one
+//! `WriteBatch` in log order (per-member durability makes the marker —
+//! the last member — the durability point), the in-place apply
+//! follows. The `persist-order` lint enforces that call order
+//! structurally. Old entry blocks are leaked on overwrite and delete —
+//! the bump allocator never reuses space, which is exactly what makes
+//! torn in-place updates impossible.
 
 use std::collections::BTreeMap;
 
@@ -86,7 +87,7 @@ impl Default for KvConfig {
 /// the embedder chooses (the report harness uses `kv`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvStats {
-    /// Completed `put` transactions.
+    /// Committed `put` mutations.
     pub puts: u64,
     /// `get` calls.
     pub gets: u64,
@@ -102,9 +103,10 @@ pub struct KvStats {
     pub txns_committed: u64,
     /// Write records appended to the log.
     pub log_records: u64,
-    /// Group-commit flushes (each persisted exactly one commit marker).
+    /// Committed groups (each persisted exactly one commit marker);
+    /// `put` and `delete` hits count as one-mutation groups.
     pub group_commits: u64,
-    /// Key mutations carried by group-commit flushes.
+    /// Key mutations carried by committed groups.
     pub group_ops: u64,
 }
 
@@ -313,8 +315,8 @@ impl KvStore {
     /// The largest value length a single put can log, given the log
     /// size chosen at create time.
     pub fn max_value_bytes(&self) -> usize {
-        // A put logs `entry_blocks + 1` write records (2 blocks each)
-        // plus the commit marker.
+        // A one-put group logs `entry_blocks + 1` write records (2
+        // blocks each) plus the commit marker.
         let budget = (self.log.capacity_blocks().saturating_sub(1) / 2).saturating_sub(1);
         if budget == 0 {
             return 0;
@@ -403,17 +405,12 @@ impl KvStore {
         Ok(out)
     }
 
-    /// Appends redo records for every write of the transaction.
-    /// Batched log append + commit: appends the write records and the
-    /// commit marker as one [`WriteBatch`] log transaction (see
+    /// Appends the transaction's write records and its commit marker
+    /// as one [`WriteBatch`] log transaction (see
     /// [`RedoLog::append_txn`]). The marker is the batch's last
-    /// durability point, so the transaction's commit semantics are
-    /// unchanged from the scalar [`RedoLog::append_write`] /
-    /// [`RedoLog::append_commit`] protocol.
+    /// durability point.
     ///
     /// [`RedoLog::append_txn`]: crate::log::RedoLog::append_txn
-    /// [`RedoLog::append_write`]: crate::log::RedoLog::append_write
-    /// [`RedoLog::append_commit`]: crate::log::RedoLog::append_commit
     fn log_txn(
         &mut self,
         mem: &mut SecureMemory,
@@ -451,70 +448,18 @@ impl KvStore {
         Ok(())
     }
 
-    /// Inserts or replaces `key`, durably. The full redo transaction —
-    /// new entry blocks plus the one pointer that links them in — is
-    /// applied all-or-nothing; a crash anywhere leaves either the old
-    /// or the new value visible after recovery, never a mix.
+    /// Inserts or replaces `key`, durably: a one-mutation
+    /// [`KvStore::apply_group`]. The redo transaction — new entry
+    /// blocks plus the one pointer that links them in — is applied
+    /// all-or-nothing; a crash anywhere leaves either the old or the
+    /// new value visible after recovery, never a mix.
     ///
     /// # Errors
     ///
     /// [`KvError::ValueTooLarge`] when the value exceeds
     /// [`KvStore::max_value_bytes`]; heap/memory errors otherwise.
     pub fn put(&mut self, mem: &mut SecureMemory, key: u64, value: &[u8]) -> Result<()> {
-        if value.len() > self.max_value_bytes() {
-            return Err(KvError::ValueTooLarge {
-                len: value.len(),
-                max: self.max_value_bytes(),
-            });
-        }
-        let (head, found) = self.find(mem, key)?;
-        let n_blocks = Self::entry_blocks(value.len());
-        let base = self.heap.alloc_blocks(mem, n_blocks)?;
-
-        let mut writes: Vec<(PhysAddr, [u8; BLOCK_BYTES])> =
-            Vec::with_capacity(n_blocks as usize + 1);
-        let next = found.as_ref().map_or(head, |f| f.next);
-        let mut block0 = [0u8; BLOCK_BYTES];
-        block0[ENT_KEY..ENT_KEY + 8].copy_from_slice(&key.to_le_bytes());
-        block0[ENT_NEXT..ENT_NEXT + 8].copy_from_slice(&next.to_le_bytes());
-        block0[ENT_VLEN..ENT_VLEN + 8].copy_from_slice(&(value.len() as u64).to_le_bytes());
-        let inline = value.len().min(INLINE_BYTES);
-        block0[ENT_INLINE..ENT_INLINE + inline].copy_from_slice(&value[..inline]);
-        writes.push((base, block0));
-        for (i, chunk) in value[inline..].chunks(BLOCK_BYTES).enumerate() {
-            let mut block = [0u8; BLOCK_BYTES];
-            block[..chunk.len()].copy_from_slice(chunk);
-            writes.push((
-                PhysAddr(base.0 + (i as u64 + 1) * BLOCK_BYTES as u64),
-                block,
-            ));
-        }
-        // The linking write: the bucket slot (fresh key) or whichever
-        // pointer led to the replaced entry (the old entry is unlinked
-        // and leaked).
-        let (haddr, hoff) = found
-            .as_ref()
-            .map_or_else(|| self.slot_of(key), |f| f.holder);
-        let mut hblock = mem.read(haddr)?;
-        hblock[hoff..hoff + 8].copy_from_slice(&base.0.to_le_bytes());
-        writes.push((haddr, hblock));
-
-        let seq = self.next_seq;
-        self.log_txn(mem, seq, &writes)?;
-        self.next_seq += 1;
-        self.apply_writes(mem, &writes)?;
-        self.log.rewind();
-        self.stats.puts += 1;
-        emit(
-            &self.events,
-            mem.now(),
-            kind::KV_PUT,
-            &[
-                ("key", key.into()),
-                ("vlen", value.len().into()),
-                ("seq", seq.into()),
-            ],
-        );
+        self.apply_group(mem, &[(key, Some(value.to_vec()))])?;
         Ok(())
     }
 
@@ -535,46 +480,17 @@ impl KvStore {
         }
     }
 
-    /// Removes `key`, durably. Returns whether it was present. The
+    /// Removes `key`, durably: a one-mutation [`KvStore::apply_group`].
+    /// Returns whether it was present — a miss logs no record, so it
+    /// burns neither a sequence number nor a commit marker. The
     /// entry's blocks are leaked (bump allocator; see module docs).
     ///
     /// # Errors
     ///
     /// Propagates heap/memory errors.
     pub fn delete(&mut self, mem: &mut SecureMemory, key: u64) -> Result<bool> {
-        self.stats.deletes += 1;
-        let (_, found) = self.find(mem, key)?;
-        let Some(hit) = found else {
-            emit(
-                &self.events,
-                mem.now(),
-                kind::KV_DELETE,
-                &[("key", key.into()), ("found", false.into())],
-            );
-            return Ok(false);
-        };
-        let (haddr, hoff) = hit.holder;
-        let mut hblock = mem.read(haddr)?;
-        hblock[hoff..hoff + 8].copy_from_slice(&hit.next.to_le_bytes());
-        let writes = [(haddr, hblock)];
-
-        let seq = self.next_seq;
-        self.log_txn(mem, seq, &writes)?;
-        self.next_seq += 1;
-        self.apply_writes(mem, &writes)?;
-        self.log.rewind();
-        self.stats.delete_hits += 1;
-        emit(
-            &self.events,
-            mem.now(),
-            kind::KV_DELETE,
-            &[
-                ("key", key.into()),
-                ("found", true.into()),
-                ("seq", seq.into()),
-            ],
-        );
-        Ok(true)
+        let receipt = self.apply_group(mem, &[(key, None)])?;
+        Ok(receipt.log_records > 0)
     }
 
     /// Stages a put into `overlay`: allocates and fills the entry
@@ -985,10 +901,13 @@ mod tests {
         kv.set_event_sink(EventSink::shared(Box::new(SharedBuf(buf.clone()))));
         kv.put(&mut m, 1, b"x").unwrap();
         kv.delete(&mut m, 1).unwrap();
+        kv.delete(&mut m, 1).unwrap();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert!(text.contains("\"event\":\"kv_put\""));
-        assert!(text.contains("\"event\":\"kv_txn_commit\""));
-        assert!(text.contains("\"event\":\"kv_delete\""));
+        // Put and delete are one-mutation groups: one transaction and
+        // one group record each; the missing-key delete logs nothing.
+        assert_eq!(text.matches("\"event\":\"kv_txn_commit\"").count(), 2);
+        assert_eq!(text.matches("\"event\":\"kv_group_commit\"").count(), 2);
+        assert_eq!(text.matches("\"ops\":1").count(), 2);
     }
 
     #[test]
@@ -1004,8 +923,8 @@ mod tests {
         assert_eq!(reg.counter("kv.puts"), 2);
         assert_eq!(reg.counter("kv.scans"), 1);
         assert_eq!(reg.counter("kv.txns_committed"), 2);
-        assert_eq!(reg.counter("kv.group_commits"), 1);
-        assert_eq!(reg.counter("kv.group_ops"), 1);
+        assert_eq!(reg.counter("kv.group_commits"), 2);
+        assert_eq!(reg.counter("kv.group_ops"), 2);
         assert!(reg.counter("kv.log_records") >= 2);
     }
 
@@ -1063,7 +982,27 @@ mod tests {
             (s.puts, s.deletes, s.delete_hits)
         );
         assert_eq!((g.group_commits, g.group_ops), (1, 6));
-        assert_eq!((s.group_commits, s.group_ops), (0, 0));
+        // Serial: every hit is a one-mutation group; the miss is none.
+        assert_eq!((s.group_commits, s.group_ops), (5, 5));
+    }
+
+    #[test]
+    fn deleting_a_missing_key_burns_no_seq_and_no_marker() {
+        let mut m = mem();
+        let mut kv = fresh(&mut m);
+        kv.put(&mut m, 1, b"keep").unwrap();
+        let seq = kv.next_seq();
+        let committed = kv.stats().txns_committed;
+        let persists = m.stats().persists;
+        assert!(!kv.delete(&mut m, 2).unwrap());
+        assert_eq!(kv.next_seq(), seq, "no sequence number burned");
+        assert_eq!(kv.stats().txns_committed, committed, "no commit marker");
+        assert_eq!(m.stats().persists, persists, "no durability point");
+        assert_eq!(kv.stats().deletes, 1);
+        assert_eq!(kv.stats().delete_hits, 0);
+        // A hit does take the next sequence number.
+        assert!(kv.delete(&mut m, 1).unwrap());
+        assert_eq!(kv.next_seq(), seq + 1);
     }
 
     #[test]
@@ -1150,6 +1089,7 @@ mod tests {
         let mut kv = fresh(&mut m);
         kv.put(&mut m, 1, b"keep").unwrap();
         let seq_before = kv.next_seq();
+        let groups_before = kv.stats().group_commits;
         // A single mutation cannot overflow through the public API
         // (max_value_bytes is exactly tight against append_txn's
         // capacity check), so shrink the log under the store to model
@@ -1173,7 +1113,7 @@ mod tests {
         // group counted, and the store serves cleanly once the real
         // log is back (failed groups leak only staged heap blocks).
         assert_eq!(kv.next_seq(), seq_before);
-        assert_eq!(kv.stats().group_commits, 0);
+        assert_eq!(kv.stats().group_commits, groups_before);
         kv.log = full_log;
         assert_eq!(kv.scan(&mut m).unwrap(), vec![(1, b"keep".to_vec())]);
         kv.put(&mut m, 2, b"after").unwrap();
@@ -1210,8 +1150,5 @@ mod tests {
             "one group event per flush:\n{text}"
         );
         assert!(text.contains("\"ops\":2"));
-        // The per-op kv_put events are not emitted on the group path;
-        // the group event is the trace record.
-        assert!(!text.contains("\"event\":\"kv_put\""));
     }
 }

@@ -19,18 +19,20 @@
 //!   the `DAXBENCH-S-RW` strided workload, for the timing simulator.
 //! * [`mixes`] — the Table 2 workload registry (DAXBENCH1–4, MIX1–4)
 //!   plus every single-program workload the figures sweep.
-//! * [`kv`] — the deterministic multi-shard driver for the `triad-kv`
-//!   store: seeded history generation (Zipf or uniform keys), an
-//!   in-DRAM oracle, and the crash-equivalence check that replays a
-//!   history through crash injection at every persist boundary.
+//! * [`kv`] — the deterministic `(tag, len)` value payloads the
+//!   request generators and their oracles share.
 //! * [`recov`] — the mixed-operation driver for the `triad-recov`
 //!   detectably recoverable lock-free structures: deterministic
 //!   per-thread scripts through the seeded interleaving harness, with
 //!   the concurrent crash-equivalence oracle checked on every run.
-//! * [`service`] — the sharded serving front-end over `triad-kv`:
-//!   keyed-hash routing across independent shard engines on worker
-//!   threads, group commit (one commit marker per flushed batch), and
-//!   WPQ-pressure admission control, with deterministic merges.
+//! * [`service`] — the sharded serving front-end over `triad-kv`, the
+//!   one multi-shard KV driver: keyed-hash routing across independent
+//!   shard engines on worker threads, group commit (one commit marker
+//!   per flushed batch), and WPQ-pressure admission control, with
+//!   deterministic merges, plus the seeded request generator (Zipf or
+//!   uniform keys, weighted op mix) and the crash-equivalence check
+//!   that replays a schedule through crash injection at every persist
+//!   boundary.
 
 #![warn(missing_docs)]
 
@@ -46,12 +48,11 @@ pub mod traces;
 pub mod zipf;
 
 pub use heap::{HeapError, PersistentHeap};
-pub use kv::{crash_equivalence_check, generate_history, KvFleet, KvMix, KvOp, KvSpec};
 pub use mixes::{all_figure_workloads, build_workload, WorkloadEnv};
 pub use recov::{generate_recov_scripts, run_recov_mix, RecovMixResult, RecovMixSpec};
 pub use service::{
-    generate_requests, service_crash_equivalence_check, AdmissionPolicy, DurabilityMode, KvService,
-    Request, Response, ServiceSpec,
+    generate_requests, service_crash_equivalence_check, AdmissionPolicy, DurabilityMode, KvMix,
+    KvService, Request, Response, ServiceSpec,
 };
 pub use spec::SpecWorkload;
 pub use traces::{DaxBench, PmdkKind, PmdkTrace};

@@ -1,10 +1,9 @@
-//! The sharded KV serving front-end: [`KvService`] — the ROADMAP's
-//! "fleet scale" layer over `triad-kv`.
-//!
-//! Where [`crate::kv::KvFleet`] is a deterministic test driver (many
-//! shards multiplexed onto one secure memory, one op at a time), the
-//! service is the serving-shaped composition the paper's throughput
-//! argument needs:
+//! The sharded KV serving front-end: [`KvService`], the one
+//! multi-shard driver over `triad-kv`. The `triad-report` kv-*, fleet-*
+//! and mode-* rows, the benchmark and every serving-layer crash sweep
+//! run through it. [`generate_requests`] is the one seeded request
+//! generator and [`service_crash_equivalence_check`] the one KV
+//! crash-equivalence oracle.
 //!
 //! * **Routing** — every key is hashed (keyed SipHash-2-4) onto one of
 //!   N *independent* shards, each owning its own [`SecureMemory`],
@@ -79,7 +78,8 @@ use triad_sim::rng::SplitMix64;
 use triad_sim::time::Duration;
 use triad_sim::Time;
 
-use crate::kv::{value_bytes, MAX_SHARDS};
+use crate::kv::value_bytes;
+use crate::zipf::Zipf;
 
 pub use triad_kv::DurabilityMode;
 
@@ -102,6 +102,14 @@ pub enum AdmissionPolicy {
         max_window: usize,
     },
 }
+
+/// The largest shard count [`KvService::create`] accepts. Every shard
+/// owns a whole simulated engine (NVM image, caches, metadata), so the
+/// cap turns a mistyped or corrupt spec into
+/// [`KvError::TooManyShards`] instead of thousands of engine builds.
+/// It sits far above any geometry the report, the benchmark or the
+/// crash sweeps use.
+pub const MAX_SHARDS: u64 = 64;
 
 /// Everything that determines a service fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -669,8 +677,9 @@ impl KvService {
         self.threaded = threaded;
     }
 
-    /// The shard index serving `key` (keyed-hash routing, reduced in
-    /// u64 — see `route_shard` in [`crate::kv`]).
+    /// The shard index serving `key`: keyed-hash routing, reduced
+    /// modulo the shard count in u64 *before* narrowing, so a 32-bit
+    /// target routes exactly like a 64-bit one.
     pub fn route(&self, key: u64) -> usize {
         let h = SipHash24::new(*b"triad-kv routing").hash_words(&[key]);
         (h % self.lanes.len().max(1) as u64) as usize
@@ -941,47 +950,105 @@ impl KvService {
     }
 }
 
-/// Generates a seeded put/get/delete request schedule over a global
-/// keyspace (5:3:2 mix, [`value_bytes`]-derived payloads). Scans are
-/// fleet-wide barriers and are driven explicitly where needed.
+/// Relative operation weights of a generated request schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KvMix {
+    /// Weight of `put`.
+    pub put: u32,
+    /// Weight of `get`.
+    pub get: u32,
+    /// Weight of `delete`.
+    pub delete: u32,
+    /// Weight of `scan`.
+    pub scan: u32,
+}
+
+impl KvMix {
+    /// Update-heavy 5:3:2 put/get/delete, no scans: the fleet-* and
+    /// mode-* rows and the crash sweeps. Scans are fleet-wide flush
+    /// points, so a sweep that needs group boundaries at batch
+    /// boundaries must not draw them.
+    pub const UPDATE_HEAVY: KvMix = KvMix {
+        put: 5,
+        get: 3,
+        delete: 2,
+        scan: 0,
+    };
+
+    /// Read-leaning, YCSB-B-flavoured 4:9:2:1 put/get/delete/scan:
+    /// the kv-* report rows.
+    pub const READ_HEAVY: KvMix = KvMix {
+        put: 4,
+        get: 9,
+        delete: 2,
+        scan: 1,
+    };
+
+    fn total(&self) -> u64 {
+        u64::from(self.put) + u64::from(self.get) + u64::from(self.delete) + u64::from(self.scan)
+    }
+}
+
+/// Generates a seeded request schedule over a global keyspace of
+/// `keyspace` keys: Zipf(`zipf_s`) or uniform keys, `mix`-weighted
+/// operations, and [`value_bytes`]-derived payloads of `value_len`
+/// (inclusive) bytes. The draw order per request — key, operation,
+/// then a put's length and value tag — is fixed, so a schedule is a
+/// pure function of its arguments.
 pub fn generate_requests(
     seed: u64,
     ops: usize,
     keyspace: u64,
     value_len: (usize, usize),
+    zipf_s: Option<f64>,
+    mix: KvMix,
 ) -> Vec<Request> {
     let mut rng = SplitMix64::stream(seed, 0x73_7276_6372_6571);
+    let zipf = zipf_s.map(|s| Zipf::new(keyspace.max(1) as usize, s));
+    let total = mix.total().max(1);
+    let put = u64::from(mix.put);
+    let get = put + u64::from(mix.get);
+    let delete = get + u64::from(mix.delete);
     (0..ops)
         .map(|_| {
-            let key = rng.below(keyspace.max(1));
-            match rng.below(10) {
-                0..=4 => {
-                    let len =
-                        rng.gen_range_inclusive(value_len.0 as u64..=value_len.1 as u64) as usize;
-                    Request::Put {
-                        key,
-                        value: value_bytes(rng.next_u64(), len),
-                    }
+            let key = match &zipf {
+                Some(z) => z.sample(&mut rng) as u64,
+                None => rng.below(keyspace.max(1)),
+            };
+            let r = rng.below(total);
+            if r < put {
+                let len = rng.gen_range_inclusive(value_len.0 as u64..=value_len.1 as u64) as usize;
+                Request::Put {
+                    key,
+                    value: value_bytes(rng.next_u64(), len),
                 }
-                5..=7 => Request::Get { key },
-                _ => Request::Delete { key },
+            } else if r < get {
+                Request::Get { key }
+            } else if r < delete {
+                Request::Delete { key }
+            } else {
+                Request::Scan
             }
         })
         .collect()
 }
 
-/// The serving-layer crash-equivalence property: a seeded schedule,
-/// submitted batch by batch (one group-commit flush per shard per
-/// batch), replayed once per persist boundary of the victim shard with
-/// a crash armed at that boundary. After every crash the victim must
-/// recover to **exactly** the pre- or post-group durable snapshot of
-/// the interrupted batch — a serial prefix at group granularity,
-/// nothing else — and re-driving the schedule must converge on the
-/// clean run's final state. Returns the number of boundaries swept.
+/// The KV crash-equivalence property: a seeded schedule, submitted
+/// batch by batch (one group-commit flush per shard per batch),
+/// replayed once per persist boundary of the victim shard with a crash
+/// armed at that boundary. After every crash the victim must recover
+/// to **exactly** the pre- or post-group durable snapshot of the
+/// interrupted batch — a serial prefix at group granularity, nothing
+/// else. Every later batch must then answer exactly as in the clean
+/// run, and the run must converge on the clean run's final state.
+/// With `batch_len` 1 every group is a single put or delete, which is
+/// the per-operation form of the property. Returns the number of
+/// boundaries swept.
 ///
 /// `base` supplies the fleet geometry and scheme; the check forces
 /// serial lane execution, `Open` admission and a whole-batch group
-/// window so group boundaries are exactly batch boundaries.
+/// window so group boundaries are exactly batch boundaries. Values
+/// run up to 100 bytes, so an entry spans up to three blocks.
 ///
 /// # Errors
 ///
@@ -1001,7 +1068,16 @@ pub fn service_crash_equivalence_check(
         ..*base
     };
     let schedule: Vec<Vec<Request>> = (0..batches)
-        .map(|b| generate_requests(seed ^ (b as u64 + 1), batch_len, 16, (1, 48)))
+        .map(|b| {
+            generate_requests(
+                seed ^ (b as u64 + 1),
+                batch_len,
+                16,
+                (1, 100),
+                None,
+                KvMix::UPDATE_HEAVY,
+            )
+        })
         .collect();
     let victim = 0usize;
 
@@ -1021,6 +1097,7 @@ pub fn service_crash_equivalence_check(
             .collect()
     };
     let mut snaps: Vec<BTreeMap<u64, Vec<u8>>> = vec![BTreeMap::new()];
+    let mut clean_resps: Vec<Vec<Response>> = Vec::with_capacity(batches);
     for (b, batch) in schedule.iter().enumerate() {
         let resps = svc
             .submit(batch)
@@ -1048,6 +1125,7 @@ pub fn service_crash_equivalence_check(
             }
         }
         snaps.push(victim_view(&svc, &model));
+        clean_resps.push(resps);
     }
     let final_state = svc.dump().map_err(|e| format!("clean run: dump: {e}"))?;
     if final_state != model {
@@ -1069,7 +1147,18 @@ pub fn service_crash_equivalence_check(
         let mut b = 0;
         while b < schedule.len() {
             match svc.submit(&schedule[b]) {
-                Ok(_) => b += 1,
+                Ok(resps) => {
+                    // Once the interrupted batch has been re-driven the
+                    // state is the clean run's again, so every later
+                    // batch must read exactly what it read there.
+                    if matches!(crashed_at, Some(c) if b > c) && resps != clean_resps[b] {
+                        return Err(format!(
+                            "boundary {k}, batch {b}: responses after recovery differ \
+                             from the clean run"
+                        ));
+                    }
+                    b += 1;
+                }
                 Err(KvError::Memory(SecureMemoryError::NeedsRecovery)) if crashed_at.is_none() => {
                     crashed_at = Some(b);
                     let report = svc
@@ -1125,23 +1214,15 @@ mod tests {
         }
     }
 
-    /// A seeded request schedule over a global keyspace.
+    /// A seeded schedule over a global keyspace, scans included.
     fn schedule(seed: u64, n: usize, keyspace: u64) -> Vec<Request> {
-        let mut rng = SplitMix64::stream(seed, 0x73_6572_7669_6365);
-        (0..n)
-            .map(|_| {
-                let key = rng.below(keyspace);
-                match rng.below(10) {
-                    0..=4 => Request::Put {
-                        key,
-                        value: vec![rng.next_u64() as u8; 1 + rng.below(24) as usize],
-                    },
-                    5..=7 => Request::Get { key },
-                    8 => Request::Delete { key },
-                    _ => Request::Scan,
-                }
-            })
-            .collect()
+        let mix = KvMix {
+            put: 5,
+            get: 3,
+            delete: 1,
+            scan: 1,
+        };
+        generate_requests(seed, n, keyspace, (1, 24), None, mix)
     }
 
     /// The in-DRAM oracle of a schedule, tracking shed responses.
@@ -1425,9 +1506,45 @@ mod tests {
     fn crash_equivalence_smoke_sweeps_group_boundaries() {
         // The full seeded sweep lives in tests/property_crash.rs; this
         // is the in-crate smoke version (one scheme, one tiny
-        // schedule).
+        // schedule), once with real groups and once with groups of one.
         let boundaries = service_crash_equivalence_check(&spec(2), 2, 4, 99).unwrap();
         assert!(boundaries > 0, "schedule must cross persist boundaries");
+        let boundaries = service_crash_equivalence_check(&spec(2), 4, 1, 99).unwrap();
+        assert!(boundaries > 0, "one-mutation groups must persist too");
+    }
+
+    #[test]
+    fn generated_schedules_are_seeded_and_follow_the_mix() {
+        let gen = |seed, zipf, mix| generate_requests(seed, 400, 64, (8, 100), zipf, mix);
+        let a = gen(7, Some(0.99), KvMix::READ_HEAVY);
+        assert_eq!(a, gen(7, Some(0.99), KvMix::READ_HEAVY));
+        assert_ne!(a, gen(8, Some(0.99), KvMix::READ_HEAVY), "seeds differ");
+        let count =
+            |reqs: &[Request], f: fn(&Request) -> bool| reqs.iter().filter(|r| f(r)).count();
+        let scans = count(&a, |r| *r == Request::Scan);
+        let gets = count(&a, |r| matches!(r, Request::Get { .. }));
+        assert!(scans > 0 && gets > scans, "4:9:2:1 draws gets and scans");
+        // Zipf keys concentrate on the head; uniform ones do not.
+        let key_zero = |reqs: &[Request]| {
+            count(reqs, |r| {
+                matches!(
+                    r,
+                    Request::Put { key: 0, .. }
+                        | Request::Get { key: 0 }
+                        | Request::Delete { key: 0 }
+                )
+            })
+        };
+        let u = gen(7, None, KvMix::READ_HEAVY);
+        assert!(key_zero(&a) > 2 * key_zero(&u).max(1));
+        // The update-heavy mix never scans.
+        let w = gen(7, None, KvMix::UPDATE_HEAVY);
+        assert_eq!(count(&w, |r| *r == Request::Scan), 0);
+        for r in &w {
+            if let Request::Put { value, .. } = r {
+                assert!((8..=100).contains(&value.len()));
+            }
+        }
     }
 
     fn puts(range: std::ops::Range<u64>) -> Vec<Request> {

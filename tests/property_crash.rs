@@ -15,9 +15,9 @@ use triad_nvm::core::{CounterPersistence, PersistScheme, SecureMemoryError};
 use triad_nvm::kv::{DurabilityMode, KvError};
 use triad_nvm::sim::prop::{check, check_ops, Config};
 use triad_nvm::sim::rng::SplitMix64;
-use triad_nvm::workloads::kv::{crash_equivalence_check, KvSpec};
 use triad_nvm::workloads::service::{
-    generate_requests, service_crash_equivalence_check, KvService, Request, Response, ServiceSpec,
+    generate_requests, service_crash_equivalence_check, KvMix, KvService, Request, Response,
+    ServiceSpec,
 };
 
 /// Mirrors the old proptest weights — 4 Write : 3 Persist : 1 each for
@@ -71,33 +71,36 @@ fn crash_consistency_holds_for_arbitrary_histories() {
     );
 }
 
-/// The triad-kv acceptance property: a seeded multi-shard KV history
-/// replayed through crash injection at *every* persist boundary must
-/// recover (engine recovery + redo-log replay) to exactly the in-DRAM
-/// oracle's state — pre- or post- the interrupted transaction, nothing
-/// else — under every recoverable scheme.
+/// The triad-kv acceptance property, at group-commit granularity: a
+/// seeded request schedule runs through the sharded [`KvService`]
+/// front-end with a crash injected at *every* persist boundary of one
+/// shard. Recovery (engine recovery + redo-log replay) must land on
+/// exactly the pre- or post-group durable snapshot (a serial prefix of
+/// flushed groups, nothing else), later batches must answer as in the
+/// clean run, and the run must converge on the clean run's final
+/// state — under every recoverable scheme.
 ///
-/// Each case draws one history shape (op count, Zipf or uniform keys)
-/// and one seed, then runs the full boundary sweep under all four
-/// schemes, so `TRIAD_PROP_CASES=1000` exercises ≥ 1000 histories *per
-/// scheme*. The default case count keeps the debug-mode CI run cheap;
-/// the release acceptance sweep is recorded in `docs/kv.md`.
-/// The serving-layer extension of the sweep: the same property at
-/// *group-commit* granularity. A seeded request schedule runs through
-/// the sharded [`KvService`] front-end with a crash injected at every
-/// persist boundary of one shard; recovery must land on exactly the
-/// pre- or post-group durable snapshot (a serial prefix of flushed
-/// groups), and re-driving the schedule must converge on the clean
-/// run's final state.
+/// `batch_len` is drawn from `1..8`, so one-mutation groups (a single
+/// put or delete, the per-operation form of the property) are swept
+/// alongside real groups; values reach 100 bytes, so entries span up
+/// to three blocks. Each case runs the full boundary sweep under all
+/// four schemes, so `TRIAD_PROP_CASES=100` exercises 100 schedules
+/// *per scheme*. The default case count keeps the debug-mode CI run
+/// cheap; the release acceptance sweep is recorded in `docs/kv.md`.
 #[test]
 fn service_crash_equivalence_holds_at_group_boundaries() {
-    let schemes = [PersistScheme::triad_nvm(2), PersistScheme::Strict];
+    let schemes = [
+        PersistScheme::triad_nvm(1),
+        PersistScheme::triad_nvm(2),
+        PersistScheme::triad_nvm(3),
+        PersistScheme::Strict,
+    ];
     check(
         "service_crash_equivalence_holds_at_group_boundaries",
         Config::cases(2),
         |rng| {
             let batches = rng.gen_range(2..4) as usize;
-            let batch_len = rng.gen_range(4..8) as usize;
+            let batch_len = rng.gen_range(1..8) as usize;
             let seed = rng.next_u64();
             for scheme in schemes {
                 let spec = ServiceSpec {
@@ -132,7 +135,8 @@ fn service_threaded_and_serial_runs_are_identical() {
                 key_seed: rng.next_u64(),
                 ..ServiceSpec::new(1)
             };
-            let reqs = generate_requests(rng.next_u64(), 60, 48, (1, 64));
+            let reqs =
+                generate_requests(rng.next_u64(), 60, 48, (1, 64), None, KvMix::UPDATE_HEAVY);
             let mut threaded = KvService::create(&spec).map_err(|e| format!("create: {e}"))?;
             threaded.set_threaded(true);
             let rt = threaded
@@ -509,7 +513,16 @@ fn durability_strict_check(batches: usize, batch_len: usize, seed: u64) -> Resul
         ..ServiceSpec::new(1)
     };
     let schedule: Vec<Vec<Request>> = (0..batches)
-        .map(|b| generate_requests(seed ^ (b as u64 + 1), batch_len, 16, (1, 32)))
+        .map(|b| {
+            generate_requests(
+                seed ^ (b as u64 + 1),
+                batch_len,
+                16,
+                (1, 32),
+                None,
+                KvMix::UPDATE_HEAVY,
+            )
+        })
         .collect();
 
     let mut svc = KvService::create(&spec).map_err(|e| format!("create: {e}"))?;
@@ -619,36 +632,6 @@ fn durability_strict_reports_zero_loss_at_every_boundary() {
             let batches = (2 + rng.below(2)) as usize;
             let batch_len = (4 + rng.below(4)) as usize;
             durability_strict_check(batches, batch_len, rng.next_u64())?;
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn kv_crash_equivalence_holds_for_seeded_histories() {
-    let schemes = [
-        PersistScheme::triad_nvm(1),
-        PersistScheme::triad_nvm(2),
-        PersistScheme::triad_nvm(3),
-        PersistScheme::Strict,
-    ];
-    check(
-        "kv_crash_equivalence_holds_for_seeded_histories",
-        Config::cases(3),
-        |rng| {
-            let ops = rng.gen_range(4..12);
-            let spec = if rng.below(2) == 0 {
-                KvSpec::small(ops)
-            } else {
-                KvSpec::small_uniform(ops)
-            };
-            let seed = rng.next_u64();
-            for scheme in schemes {
-                // Zero boundaries is legitimate (a short history may be
-                // all reads or misses); the clean-run oracle check still
-                // ran in that case.
-                crash_equivalence_check(scheme, CounterPersistence::Strict, &spec, seed)?;
-            }
             Ok(())
         },
     );
