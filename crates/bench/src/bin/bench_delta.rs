@@ -10,11 +10,11 @@
 //! smoke matrix is a subset of the full one).
 //!
 //! CI runs one gate: the `triad-report --smoke` matrix against the
-//! checked-in `BENCH_pr12.json`, the one baseline.
+//! checked-in `BENCH_pr13.json`, the one baseline.
 //!
 //! Usage:
 //!   cargo run -p triad-bench --release --bin bench-delta -- \
-//!       BENCH_pr12.json NEW.json [--check]
+//!       BENCH_pr13.json NEW.json [--check]
 //!
 //! The parser is hand-rolled for the report's own fixed-key-order
 //! output (the workspace builds with zero external crates); it is not

@@ -27,7 +27,7 @@
 //! cell with a mid-run per-thread crash injected and demands the
 //! oracle still pass.
 //!
-//! Emits `BENCH_pr12.json` (deterministic: running twice with the
+//! Emits `BENCH_pr13.json` (deterministic: running twice with the
 //! same seed is byte-identical) plus a human-readable table. That file
 //! is the one checked-in baseline: CI gates the smoke matrix against
 //! it with `bench-delta --check`.
@@ -691,7 +691,7 @@ fn print_table(cells: &[Cell]) {
 fn main() {
     let mut smoke = false;
     let mut ops: Option<u64> = None;
-    let mut out_path = String::from("BENCH_pr12.json");
+    let mut out_path = String::from("BENCH_pr13.json");
     let mut seed: u64 = 42;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {

@@ -15,7 +15,9 @@
 //!    last-wins into one pending staging buffer; ancestors shared by
 //!    multiple dirty leaves are written to NVM once per batch, and the
 //!    §3.3.5 register protocol (stage → READY_BIT → WPQ → commit) is
-//!    charged once instead of once per member.
+//!    charged once instead of once per member. `commit_batch` is the
+//!    only implementation of that protocol: a write-back outside an
+//!    open batch commits as a batch of one.
 //! 3. **Prefetch planning** — the counter blocks, MAC blocks and
 //!    coalesced tree-path nodes the batch will touch are planned
 //!    through [`triad_cache::BatchPrefetcher`] before the first member
@@ -47,7 +49,6 @@ use triad_sim::BlockAddr;
 use crate::engine::{EngineState, EvictItem, Result, SecureMemory};
 use crate::error::SecureMemoryError;
 use crate::registers::{StagedUpdate, StagedWrite};
-use crate::scheme::CounterPersistence;
 
 /// A program-ordered set of full-block writes to persist together.
 ///
@@ -113,13 +114,16 @@ pub(crate) enum WriteClass {
     Node,
 }
 
-/// The open batch's staging buffer: last-wins merged writes keyed by
-/// address, the pending persistent root, and the precomputed pads.
+/// The open batch's staging buffer: last-wins merged writes in
+/// first-staging order, the pending persistent root, and the
+/// precomputed pads.
 #[derive(Debug)]
 pub(crate) struct PendingBatch {
-    /// addr → (first-staging order, class, current bytes).
-    writes: BTreeMap<u64, (usize, WriteClass, Block)>,
-    next_order: usize,
+    /// Merged writes in first-staging order; a re-staged address keeps
+    /// its position and class and takes the newest bytes.
+    writes: Vec<(WriteClass, StagedWrite)>,
+    /// addr → position in `writes`.
+    index: BTreeMap<u64, usize>,
     /// Root the persistent region reaches once the batch commits
     /// (tracked for the cumulative re-stage).
     new_persistent_root: Option<triad_meta::NodeBuf>,
@@ -132,8 +136,8 @@ pub(crate) struct PendingBatch {
 impl PendingBatch {
     pub(crate) fn new(pads: BTreeMap<(u64, u64, u8), Block>) -> Self {
         PendingBatch {
-            writes: BTreeMap::new(),
-            next_order: 0,
+            writes: Vec::new(),
+            index: BTreeMap::new(),
             new_persistent_root: None,
             pads,
             naive_writes: 0,
@@ -141,21 +145,17 @@ impl PendingBatch {
     }
 
     /// Stages one write, merging last-wins on address. The class and
-    /// insertion order of the first staging are kept.
+    /// position of the first staging are kept.
     fn stage(&mut self, class: WriteClass, addr: BlockAddr, data: Block) {
-        match self.writes.get_mut(&addr.0) {
-            Some(entry) => entry.2 = data,
-            None => {
-                let order = self.next_order;
-                self.next_order += 1;
-                self.writes.insert(addr.0, (order, class, data));
-            }
+        if !self.refresh(addr, data) {
+            self.index.insert(addr.0, self.writes.len());
+            self.writes.push((class, StagedWrite { addr, data }));
         }
     }
 
     /// Current staged bytes for `addr`, if pending.
     fn lookup(&self, addr: BlockAddr) -> Option<Block> {
-        self.writes.get(&addr.0).map(|(_, _, data)| *data)
+        self.index.get(&addr.0).map(|&i| self.writes[i].1.data)
     }
 
     /// Refreshes the bytes of an already-pending write (used when an
@@ -163,37 +163,13 @@ impl PendingBatch {
     /// the commit/recovery replay cannot clobber it with stale bytes).
     /// Returns whether `addr` was pending.
     fn refresh(&mut self, addr: BlockAddr, data: Block) -> bool {
-        match self.writes.get_mut(&addr.0) {
-            Some(entry) => {
-                entry.2 = data;
+        match self.index.get(&addr.0) {
+            Some(&i) => {
+                self.writes[i].1.data = data;
                 true
             }
             None => false,
         }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.writes.is_empty()
-    }
-
-    /// The merged writes in first-staging order.
-    fn ordered(&self) -> Vec<(WriteClass, StagedWrite)> {
-        let mut v: Vec<(usize, WriteClass, StagedWrite)> = self
-            .writes
-            .iter()
-            .map(|(addr, (order, class, data))| {
-                (
-                    *order,
-                    *class,
-                    StagedWrite {
-                        addr: BlockAddr(*addr),
-                        data: *data,
-                    },
-                )
-            })
-            .collect();
-        v.sort_unstable_by_key(|(order, _, _)| *order);
-        v.into_iter().map(|(_, class, w)| (class, w)).collect()
     }
 }
 
@@ -204,10 +180,9 @@ impl SecureMemory {
     /// module docs). Returns the time the whole batch is inside the
     /// persistence domain.
     ///
-    /// Falls back to per-member [`SecureMemory::persist_block`] calls
-    /// when an epoch is open (members defer to the boundary like any
-    /// other persist) or under the Osiris counter relaxation (its skip
-    /// bookkeeping is inherently per-write).
+    /// When an epoch is open the members go through
+    /// [`SecureMemory::persist_block`] one by one and defer to the
+    /// boundary like any other persist.
     ///
     /// Each member consumes one durability point of
     /// [`SecureMemory::inject_crash_after_persists`]; a crash between
@@ -234,67 +209,29 @@ impl SecureMemory {
         if batch.is_empty() {
             return Ok(now);
         }
-        let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
-        if self.epoch.is_some() || osiris {
+        if self.epoch.is_some() {
             let mut t = now;
             for (block, data) in batch.members() {
                 t = self.persist_block(*block, *data, t)?;
             }
             return Ok(t);
         }
-        let pads = self.precompute_batch_pads(batch.members());
-        let planned = self.plan_batch_prefetch(batch.members());
-        emit(
-            &self.events,
-            now,
-            "batch_queued",
-            &[
-                ("members", batch.len().into()),
-                ("planned_lines", planned.into()),
-            ],
-        );
-        self.stats.batches += 1;
-        self.stats.batch_members += batch.len() as u64;
-        self.batch = Some(PendingBatch::new(pads));
         // The prefetch plan lets every member's metadata fetches be in
-        // flight together, so members issue from the batch's start time
+        // flight together, so members start from the batch's start time
         // rather than serialising end-to-end; the merged WPQ drain in
         // `commit_batch` then charges the serialised commit once.
         let t0 = now + self.l3.latency();
-        let mut t = t0;
-        for (block, data) in batch.members() {
-            self.stats.stores += 1;
-            self.stats.persists += 1;
-            if self.persist_boundary_crash(now) {
-                // The crash cleared the open batch; the staged prefix
-                // (every fully processed member, merged) replays at
-                // recovery — the scalar walk's per-member durability.
-                return Err(SecureMemoryError::NeedsRecovery);
-            }
-            self.reclaim(*block);
-            self.plain.insert(block.0, *data);
-            self.l3_touch(*block, true);
-            let done = match self.writeback_data(*block, *data, t0, true) {
-                Ok(done) => done,
-                Err(e) => {
-                    // Commit the staged prefix so the on-chip roots and
-                    // the NVM image agree before surfacing the error.
-                    let _ = self.commit_batch(t);
-                    return Err(e);
-                }
-            };
-            self.l3.flush(*block);
-            match self.drain_evictions(now) {
-                Ok(()) => {}
-                Err(e) => {
-                    let _ = self.commit_batch(t);
-                    return Err(e);
-                }
-            }
-            t = t.max(done);
-        }
-        t = self.commit_batch(t)?;
-        self.drain_evictions(now)?;
+        let t = self.run_batch(batch.members(), now, t0, |mem, block, data, _| {
+            mem.stats.stores += 1;
+            mem.stats.persists += 1;
+            mem.reclaim(block);
+            mem.plain.insert(block.0, data);
+            mem.l3_touch(block, true);
+            let done = mem.writeback_data(block, data, t0)?;
+            mem.l3.flush(block);
+            mem.drain_evictions(now)?;
+            Ok(done)
+        })?;
         self.hists.persist_latency_ns.record(t.since(now).as_ns());
         Ok(t)
     }
@@ -312,6 +249,57 @@ impl SecureMemory {
     }
 
     // ----- crate-internal batch plumbing ------------------------------------
+
+    /// Runs `members` through one open batch: the one loop behind
+    /// [`SecureMemory::persist_batch`] and the epoch boundary. It
+    /// precomputes the members' pads, plans their prefetches and
+    /// counts the batch; then, per member, it takes one
+    /// persist-boundary crash point and calls `write_back` with the
+    /// latest completion time so far (`start` before the first). A
+    /// member error commits the staged prefix, so the on-chip roots
+    /// and the NVM image agree before the error surfaces. Finally the
+    /// batch commits and the eviction queue drains.
+    pub(crate) fn run_batch(
+        &mut self,
+        members: &[(BlockAddr, Block)],
+        now: Time,
+        start: Time,
+        mut write_back: impl FnMut(&mut Self, BlockAddr, Block, Time) -> Result<Time>,
+    ) -> Result<Time> {
+        let pads = self.precompute_batch_pads(members);
+        let planned = self.plan_batch_prefetch(members);
+        emit(
+            &self.events,
+            now,
+            "batch_queued",
+            &[
+                ("members", members.len().into()),
+                ("planned_lines", planned.into()),
+            ],
+        );
+        self.stats.batches += 1;
+        self.stats.batch_members += members.len() as u64;
+        self.batch = Some(PendingBatch::new(pads));
+        let mut t = start;
+        for &(block, data) in members {
+            if self.persist_boundary_crash(now) {
+                // The crash cleared the open batch; the staged prefix
+                // (every fully processed member, merged) replays at
+                // recovery — the scalar walk's per-member durability.
+                return Err(SecureMemoryError::NeedsRecovery);
+            }
+            match write_back(self, block, data, t) {
+                Ok(done) => t = t.max(done),
+                Err(e) => {
+                    let _ = self.commit_batch(t);
+                    return Err(e);
+                }
+            }
+        }
+        t = self.commit_batch(t)?;
+        self.drain_evictions(now)?;
+        Ok(t)
+    }
 
     /// Staged bytes of `addr` in the open batch, if any. Metadata and
     /// data fetches must prefer these over the (stale-until-commit)
@@ -384,7 +372,7 @@ impl SecureMemory {
     /// batch has been processed is always replayable.
     fn restage_batch(&mut self) {
         let Some(pending) = &self.batch else { return };
-        let writes: Vec<StagedWrite> = pending.ordered().into_iter().map(|(_, w)| w).collect();
+        let writes: Vec<StagedWrite> = pending.writes.iter().map(|(_, w)| *w).collect();
         let new_persistent_root = pending.new_persistent_root;
         self.regs.stage(StagedUpdate {
             writes,
@@ -392,18 +380,20 @@ impl SecureMemory {
         });
     }
 
-    /// Commits the open batch: charges the register protocol once,
-    /// drains the merged writes through the WPQ (honouring the armed
-    /// WPQ-crash hook), counts per-class persist writes, and clears the
-    /// READY_BIT. A no-op when no batch is open or nothing was staged.
+    /// Commits the open batch — the one implementation of the §3.3.5
+    /// commit, for batches of one and of many alike: charges the
+    /// register protocol once, drains the merged writes through the
+    /// WPQ (honouring the armed WPQ-crash hook), counts per-class
+    /// persist writes, and clears the READY_BIT. A no-op when no batch
+    /// is open or nothing was staged.
     pub(crate) fn commit_batch(&mut self, now: Time) -> Result<Time> {
         let Some(pending) = self.batch.take() else {
             return Ok(now);
         };
-        if pending.is_empty() {
+        let writes = pending.writes;
+        if writes.is_empty() {
             return Ok(now);
         }
-        let writes = pending.ordered();
         let merged = pending.naive_writes - writes.len() as u64;
         let mut t = now
             + self
@@ -414,7 +404,7 @@ impl SecureMemory {
         emit(
             &self.events,
             now,
-            "batch_persist",
+            "atomic_persist",
             &[
                 ("staged_writes", writes.len().into()),
                 ("merged_away", merged.into()),

@@ -49,7 +49,7 @@ use triad_sim::{BlockAddr, PhysAddr, BLOCK_BYTES};
 use crate::batch::PendingBatch;
 use crate::error::{CrashHookKind, IntegrityKind, SecureMemoryError};
 use crate::recovery::{CorruptRange, RecoveryReport};
-use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
+use crate::registers::{PersistentRegisters, StagedWrite};
 use crate::scheme::{CounterPersistence, KeyPolicy, PersistScheme};
 
 /// Shorthand for results of secure-memory operations.
@@ -430,9 +430,10 @@ pub struct SecureMemory {
     /// (`None` = epoch persistency inactive; see
     /// [`SecureMemory::begin_epoch`]).
     pub(crate) epoch: Option<Vec<BlockAddr>>,
-    /// An open write batch: atomic persists triggered while this is
-    /// `Some` stage into the pending set instead of running the scalar
-    /// register/WPQ protocol per write (see [`crate::batch`]).
+    /// The open write batch: atomic write-backs stage into its pending
+    /// set, and one `commit_batch` runs the register/WPQ protocol for
+    /// all of them. A write-back outside a batch opens a batch of one
+    /// (see [`crate::batch`]).
     pub(crate) batch: Option<PendingBatch>,
     /// Prefetch planner fed by queued write batches.
     pub(crate) prefetcher: BatchPrefetcher,
@@ -836,7 +837,7 @@ impl SecureMemory {
             match item {
                 EvictItem::Data { addr, plain, dirty } => {
                     if dirty {
-                        self.writeback_data(addr, plain, now, false)?;
+                        self.writeback_data(addr, plain, now)?;
                     }
                 }
                 EvictItem::Counter { addr, value, dirty } => {
@@ -1129,7 +1130,7 @@ impl SecureMemory {
             for _ in 0..=interval {
                 let pair = trial.pair(s);
                 let iv = self.data_iv(kind, block, pair.major, pair.minor);
-                if self.data_tag(kind, block, &ct, &iv) == tag {
+                if self.data_tag(block, &ct, &iv) == tag {
                     cb = trial;
                     found = true;
                     break;
@@ -1197,8 +1198,7 @@ impl SecureMemory {
         }
     }
 
-    fn data_tag(&self, kind: RegionKind, block: BlockAddr, ct: &Block, iv: &Iv) -> Mac64 {
-        let _ = kind;
+    fn data_tag(&self, block: BlockAddr, ct: &Block, iv: &Iv) -> Mac64 {
         let t = self.mac_engine.data_mac(block.0, ct, iv);
         // Zero is reserved as the "never written" marker.
         if t.is_zero() {
@@ -1211,15 +1211,13 @@ impl SecureMemory {
     // ----- write-back / persist path ----------------------------------------
 
     /// Encrypts and writes `block` to NVM, updating counter, MAC and
-    /// tree according to the region and scheme. `_clwb` marks
-    /// clwb-style persists (eviction callers pass the captured
-    /// plaintext of a line that is already gone from L3).
+    /// tree according to the region and scheme. Eviction callers pass
+    /// the captured plaintext of a line that is already gone from L3.
     pub(crate) fn writeback_data(
         &mut self,
         block: BlockAddr,
         plaintext: Block,
         now: Time,
-        _clwb: bool,
     ) -> Result<Time> {
         let kind = self
             .map
@@ -1253,7 +1251,7 @@ impl SecureMemory {
             }
             None => encrypt_block(self.aes_for(kind), &iv, &plaintext),
         };
-        let tag = self.data_tag(kind, block, &ct, &iv);
+        let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
         let mac_addr = layout.mac_start + data_index / 8;
@@ -1269,6 +1267,12 @@ impl SecureMemory {
             t = self
                 .reencrypt_page(kind, leaf, slot, &old_cb, &cb, persist_macs, now)?
                 .max(t);
+            // The re-encryption rewrote the page's other tags, some of
+            // them in this block's MAC line: stage the line as it
+            // stands now, not the copy taken at step 2.
+            if let Some(buf) = self.macs.get(&mac_addr.0) {
+                mac_buf = *buf;
+            }
         }
 
         // 4. Propagate to the tree and to NVM.
@@ -1326,68 +1330,21 @@ impl SecureMemory {
                 addr: mac_addr,
                 data: mac_buf.0,
             });
-            let node_count = staged_nodes.len() as u64;
             writes.extend(staged_nodes);
-            if self.batch.is_some() {
-                // Open batch: merge this member's update set into the
-                // pending (last-wins) staging buffer. The cumulative
-                // re-stage keeps the persistent registers holding the
-                // whole replayable prefix, so the per-member root
-                // advance below stays crash-safe; the coalesced WPQ
-                // drain and register commit happen once in
-                // `commit_batch`.
-                self.stage_into_batch(kind, &writes, persist_counter, new_root);
-                self.set_root(kind, new_root);
-            } else {
-                if persist_counter {
-                    self.stats.counter_writes_persist += 1;
-                }
-                self.stats.atomic_persists += 1;
-                self.stats.mac_writes_persist += 1;
-                self.stats.node_writes_persist += node_count;
-                // §3.3.5 protocol: stage → READY_BIT → WPQ copies →
-                // commit. Only the persistent region's root matters for
-                // recovery (the non-persistent root is rebuilt lazily
-                // regardless).
-                self.regs.stage(StagedUpdate {
-                    writes: writes.clone(),
-                    new_persistent_root: (kind == RegionKind::Persistent).then_some(new_root),
-                });
-                t += self
-                    .config
-                    .security
-                    .persistent_register_latency
-                    .saturating_mul(writes.len() as u64 + 1);
-                emit(
-                    &self.events,
-                    now,
-                    "atomic_persist",
-                    &[
-                        ("block", block.0.into()),
-                        ("staged_writes", writes.len().into()),
-                    ],
-                );
-                for w in &writes {
-                    if let Some(left) = self.crash_after_wpq_writes {
-                        if left == 0 {
-                            // First fire wins: disarm the persist-
-                            // boundary hook too.
-                            self.disarm_crash_hooks();
-                            emit(
-                                &self.events,
-                                t,
-                                "crash",
-                                &[("injected", true.into()), ("block", w.addr.0.into())],
-                            );
-                            self.crash();
-                            return Err(SecureMemoryError::NeedsRecovery);
-                        }
-                        self.crash_after_wpq_writes = Some(left - 1);
-                    }
-                    t = self.mc.write(w.addr, w.data, t);
-                }
-                self.set_root(kind, new_root);
-                self.regs.commit();
+            // §3.3.5 has one implementation, `commit_batch`: the update
+            // set merges into the open batch, or into a batch of one
+            // that commits before this write-back returns. The
+            // cumulative re-stage keeps the persistent registers
+            // holding the whole replayable prefix, so advancing the
+            // root at staging time stays crash-safe.
+            let standalone = self.batch.is_none();
+            if standalone {
+                self.batch = Some(PendingBatch::new(BTreeMap::new()));
+            }
+            self.stage_into_batch(kind, &writes, persist_counter, new_root);
+            self.set_root(kind, new_root);
+            if standalone {
+                t = self.commit_batch(t)?;
             }
             // Persisted metadata is now clean on chip (under Osiris the
             // skipped counter stays dirty until its forced persist or
@@ -1462,7 +1419,7 @@ impl SecureMemory {
             let new_pair = new_cb.pair(s);
             let iv_new = self.data_iv(kind, block, new_pair.major, new_pair.minor);
             let ct_new = encrypt_block(self.aes_for(kind), &iv_new, &plaintext);
-            let new_tag = self.data_tag(kind, block, &ct_new, &iv_new);
+            let new_tag = self.data_tag(block, &ct_new, &iv_new);
             let (mut mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             mac_buf.set_slot((data_index % 8) as usize, new_tag);
             let mac_addr = layout.mac_start + data_index / 8;
@@ -1631,7 +1588,7 @@ impl SecureMemory {
         } else {
             let iv = self.data_iv(kind, block, pair.major, pair.minor);
             let plaintext = decrypt_block(self.aes_for(kind), &iv, &ct);
-            if self.data_tag(kind, block, &ct, &iv) != tag {
+            if self.data_tag(block, &ct, &iv) != tag {
                 return Err(SecureMemoryError::MacMismatch { block });
             }
             plaintext
@@ -1698,7 +1655,6 @@ impl SecureMemory {
             });
         }
         self.stats.stores += 1;
-        self.stats.persists += 1;
         self.reclaim(block);
         self.plain.insert(block.0, data);
         self.l3_touch(block, true);
@@ -1707,6 +1663,7 @@ impl SecureMemory {
         // the epoch boundary: within an epoch only program order, not
         // durability order, is guaranteed.
         if let Some(pending) = &mut self.epoch {
+            self.stats.persists += 1;
             pending.push(block);
             self.drain_evictions(now)?;
             let done = now + self.l3.latency();
@@ -1715,14 +1672,7 @@ impl SecureMemory {
                 .record(done.since(now).as_ns());
             return Ok(done);
         }
-        if self.persist_boundary_crash(now) {
-            return Err(SecureMemoryError::NeedsRecovery);
-        }
-        let t = self.writeback_data(block, data, now + self.l3.latency(), true)?;
-        self.l3.flush(block);
-        self.drain_evictions(now)?;
-        self.hists.persist_latency_ns.record(t.since(now).as_ns());
-        Ok(t)
+        self.flush_block(block, now)
     }
 
     /// Begins an epoch (§6 / Liu et al.'s *epoch persistency*):
@@ -1748,11 +1698,10 @@ impl SecureMemory {
     /// block) becomes durable with its metadata before the returned
     /// time.
     ///
-    /// Under the atomic schemes with strict counters the boundary runs
-    /// through the batched write path: members share one precomputed
-    /// pad set, one prefetch plan and one coalesced register/WPQ
-    /// commit. The Osiris relaxation keeps the scalar per-member walk
-    /// (its skip bookkeeping is inherently per-write).
+    /// The boundary is one write batch (see [`crate::batch`]): members
+    /// share one precomputed pad set, one prefetch plan and one
+    /// coalesced register/WPQ commit, and each member's write-back
+    /// starts when the previous one completes.
     ///
     /// # Errors
     ///
@@ -1776,69 +1725,23 @@ impl SecureMemory {
         let mut members = Vec::new();
         for block in pending {
             if seen.insert(block.0) && self.l3.probe_dirty(block) {
-                members.push(block);
-            }
-        }
-        let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
-        if members.is_empty() || osiris || !self.scheme.persists_metadata() {
-            // Scalar boundary: per-member write-backs. (Osiris skip
-            // bookkeeping is per-write; WriteBack persists no metadata
-            // so there is nothing for a batch to coalesce.)
-            let mut t = now;
-            for block in members {
-                if self.persist_boundary_crash(now) {
-                    return Err(SecureMemoryError::NeedsRecovery);
-                }
                 let plaintext = self
                     .plain
                     .get(&block.0)
                     .copied()
                     .unwrap_or([0; BLOCK_BYTES]);
-                let done = self.writeback_data(block, plaintext, t, true)?;
-                self.l3.flush(block);
-                t = t.max(done);
+                members.push((block, plaintext));
             }
+        }
+        if members.is_empty() {
             self.drain_evictions(now)?;
-            return Ok(t);
+            return Ok(now);
         }
-        // Batched boundary.
-        let flushes: Vec<(BlockAddr, Block)> = members
-            .iter()
-            .map(|b| {
-                (
-                    *b,
-                    self.plain.get(&b.0).copied().unwrap_or([0; BLOCK_BYTES]),
-                )
-            })
-            .collect();
-        let pads = self.precompute_batch_pads(&flushes);
-        self.plan_batch_prefetch(&flushes);
-        self.stats.batches += 1;
-        self.stats.batch_members += flushes.len() as u64;
-        self.batch = Some(PendingBatch::new(pads));
-        let mut t = now;
-        for (block, plaintext) in flushes {
-            if self.persist_boundary_crash(now) {
-                // The crash cleared the open batch; the staged prefix
-                // (every fully processed member) replays at recovery —
-                // the same per-member durability the scalar walk gives.
-                return Err(SecureMemoryError::NeedsRecovery);
-            }
-            let done = match self.writeback_data(block, plaintext, t, true) {
-                Ok(done) => done,
-                Err(e) => {
-                    // Commit the staged prefix so the on-chip roots and
-                    // the NVM image agree before surfacing the error.
-                    let _ = self.commit_batch(t);
-                    return Err(e);
-                }
-            };
-            self.l3.flush(block);
-            t = t.max(done);
-        }
-        t = self.commit_batch(t)?;
-        self.drain_evictions(now)?;
-        Ok(t)
+        self.run_batch(&members, now, now, |mem, block, plaintext, t| {
+            let done = mem.writeback_data(block, plaintext, t)?;
+            mem.l3.flush(block);
+            Ok(done)
+        })
     }
 
     /// Whether an epoch is currently open.
@@ -1866,7 +1769,7 @@ impl SecureMemory {
             .get(&block.0)
             .copied()
             .unwrap_or([0; BLOCK_BYTES]);
-        let t = self.writeback_data(block, plaintext, now + self.l3.latency(), true)?;
+        let t = self.writeback_data(block, plaintext, now + self.l3.latency())?;
         self.l3.flush(block);
         self.drain_evictions(now)?;
         self.hists.persist_latency_ns.record(t.since(now).as_ns());

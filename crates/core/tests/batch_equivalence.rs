@@ -3,12 +3,13 @@
 //! member-by-member `persist_block` loop must be observationally
 //! identical — byte-identical NVM image (data, counters, MACs and BMT
 //! nodes), identical persistent BMT root, and identical post-crash
-//! recovery — under every scheme. The batch pipeline (shared pad pass,
+//! recovery — under every scheme, with strict counters and with the
+//! Osiris counter relaxation. The batch pipeline (shared pad pass,
 //! prefetch planning, coalesced metadata commit) is a performance
 //! transformation only.
 //!
-//! Four per-scheme tests × 250 default cases = 1000 seeded histories;
-//! `TRIAD_PROP_CASES` rescales each test as usual.
+//! Six (scheme, counter policy) tests × 250 default cases = 1500
+//! seeded histories; `TRIAD_PROP_CASES` rescales each test as usual.
 
 use std::collections::BTreeMap;
 
@@ -54,10 +55,10 @@ fn gen_history(rng: &mut SplitMix64, base: PhysAddr, allow_crash: bool) -> Vec<E
         .collect()
 }
 
-fn build(scheme: PersistScheme, key_seed: u64) -> SecureMemory {
+fn build(scheme: PersistScheme, policy: CounterPersistence, key_seed: u64) -> SecureMemory {
     SecureMemoryBuilder::new()
         .scheme(scheme)
-        .counter_persistence(CounterPersistence::Strict)
+        .counter_persistence(policy)
         .key_seed(key_seed)
         .build()
         .unwrap()
@@ -67,10 +68,14 @@ fn image(mem: &SecureMemory) -> BTreeMap<u64, [u8; BLOCK_BYTES]> {
     mem.nvm_image().iter().map(|(a, b)| (a.0, *b)).collect()
 }
 
-fn check_equivalence(scheme: PersistScheme, rng: &mut SplitMix64) -> Result<(), String> {
+fn check_equivalence(
+    scheme: PersistScheme,
+    policy: CounterPersistence,
+    rng: &mut SplitMix64,
+) -> Result<(), String> {
     let key_seed = rng.next_u64();
-    let mut scalar = build(scheme, key_seed);
-    let mut batched = build(scheme, key_seed);
+    let mut scalar = build(scheme, policy, key_seed);
+    let mut batched = build(scheme, policy, key_seed);
     let base = scalar.persistent_region().start();
     // WriteBack deliberately cannot recover the persistent region, so a
     // mid-history crash poisons every later persist on both sides;
@@ -158,28 +163,67 @@ fn check_equivalence(scheme: PersistScheme, rng: &mut SplitMix64) -> Result<(), 
     Ok(())
 }
 
-fn run(name: &'static str, scheme: PersistScheme) {
+fn run(name: &'static str, scheme: PersistScheme, policy: CounterPersistence) {
     check(name, Config::cases(250), |rng| {
-        check_equivalence(scheme, rng)
+        check_equivalence(scheme, policy, rng)
     });
 }
 
+const STRICT: CounterPersistence = CounterPersistence::Strict;
+const OSIRIS: CounterPersistence = CounterPersistence::Osiris { interval: 4 };
+
 #[test]
 fn batched_equals_scalar_write_back() {
-    run("batched_equals_scalar_write_back", PersistScheme::WriteBack);
+    run(
+        "batched_equals_scalar_write_back",
+        PersistScheme::WriteBack,
+        STRICT,
+    );
 }
 
 #[test]
 fn batched_equals_scalar_triad1() {
-    run("batched_equals_scalar_triad1", PersistScheme::triad_nvm(1));
+    run(
+        "batched_equals_scalar_triad1",
+        PersistScheme::triad_nvm(1),
+        STRICT,
+    );
 }
 
 #[test]
 fn batched_equals_scalar_triad3() {
-    run("batched_equals_scalar_triad3", PersistScheme::triad_nvm(3));
+    run(
+        "batched_equals_scalar_triad3",
+        PersistScheme::triad_nvm(3),
+        STRICT,
+    );
 }
 
 #[test]
 fn batched_equals_scalar_strict() {
-    run("batched_equals_scalar_strict", PersistScheme::Strict);
+    run(
+        "batched_equals_scalar_strict",
+        PersistScheme::Strict,
+        STRICT,
+    );
+}
+
+// TriadNVM-1 persists no BMT level, so the builder rejects Osiris
+// (its recovery oracle) there; WriteBack persists no metadata at all.
+#[test]
+fn batched_equals_scalar_triad2_osiris() {
+    run(
+        "batched_equals_scalar_triad2_osiris",
+        PersistScheme::triad_nvm(2),
+        OSIRIS,
+    );
+}
+
+#[test]
+fn batched_equals_scalar_strict_osiris() {
+    run(
+        "batched_equals_scalar_strict_osiris",
+        PersistScheme::Strict,
+        OSIRIS,
+    );
 }

@@ -6,38 +6,17 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// An ordered set of named integer counters.
+/// A read-only, name-ordered view of counters: the flattened form of
+/// a [`StatRegistry`], built by [`StatRegistry::to_stat_set`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatSet {
     values: BTreeMap<String, u64>,
 }
 
 impl StatSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets `name` to `value`, replacing any previous value.
-    pub fn set(&mut self, name: impl Into<String>, value: u64) {
-        self.values.insert(name.into(), value);
-    }
-
-    /// Adds `delta` to `name` (creating it at zero first).
-    pub fn add(&mut self, name: impl Into<String>, delta: u64) {
-        *self.values.entry(name.into()).or_insert(0) += delta;
-    }
-
     /// Reads a counter; zero if absent.
     pub fn get(&self, name: &str) -> u64 {
         self.values.get(name).copied().unwrap_or(0)
-    }
-
-    /// Merges another set into this one, summing shared counters.
-    pub fn merge(&mut self, other: &StatSet) {
-        for (k, v) in &other.values {
-            *self.values.entry(k.clone()).or_insert(0) += v;
-        }
     }
 
     /// Iterates counters in name order.
@@ -67,27 +46,6 @@ impl fmt::Display for StatSet {
             writeln!(f, "{k:<48} {v}")?;
         }
         Ok(())
-    }
-}
-
-impl FromIterator<(String, u64)> for StatSet {
-    fn from_iter<I: IntoIterator<Item = (String, u64)>>(iter: I) -> Self {
-        // Duplicate keys must *sum*, matching `merge` and `Extend`:
-        // collecting straight into the map would silently keep only the
-        // last occurrence and drop counts.
-        let mut out = StatSet::new();
-        for (k, v) in iter {
-            out.add(k, v);
-        }
-        out
-    }
-}
-
-impl Extend<(String, u64)> for StatSet {
-    fn extend<I: IntoIterator<Item = (String, u64)>>(&mut self, iter: I) {
-        for (k, v) in iter {
-            self.add(k, v);
-        }
     }
 }
 
@@ -274,20 +232,17 @@ impl StatRegistry {
     /// Flattens into a plain counter set: counters verbatim, each
     /// histogram expanded to `name.count/.min/.max/.mean/.p50/.p95/.p99`.
     pub fn to_stat_set(&self) -> StatSet {
-        let mut out = StatSet::new();
-        for (k, v) in &self.counters {
-            out.set(k.clone(), *v);
-        }
+        let mut values = self.counters.clone();
         for (k, h) in &self.histograms {
-            out.set(format!("{k}.count"), h.count());
-            out.set(format!("{k}.min"), h.min());
-            out.set(format!("{k}.max"), h.max());
-            out.set(format!("{k}.mean"), h.mean().round() as u64);
-            out.set(format!("{k}.p50"), h.p50());
-            out.set(format!("{k}.p95"), h.p95());
-            out.set(format!("{k}.p99"), h.p99());
+            values.insert(format!("{k}.count"), h.count());
+            values.insert(format!("{k}.min"), h.min());
+            values.insert(format!("{k}.max"), h.max());
+            values.insert(format!("{k}.mean"), h.mean().round() as u64);
+            values.insert(format!("{k}.p50"), h.p50());
+            values.insert(format!("{k}.p95"), h.p95());
+            values.insert(format!("{k}.p99"), h.p99());
         }
-        out
+        StatSet { values }
     }
 }
 
@@ -363,88 +318,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_and_get() {
-        let mut s = StatSet::new();
-        assert_eq!(s.get("x"), 0);
-        s.add("x", 2);
-        s.add("x", 3);
-        assert_eq!(s.get("x"), 5);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn merge_sums_shared_keys() {
-        let mut a = StatSet::new();
-        a.set("x", 1);
-        a.set("y", 2);
-        let mut b = StatSet::new();
-        b.set("y", 3);
-        b.set("z", 4);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 1);
-        assert_eq!(a.get("y"), 5);
-        assert_eq!(a.get("z"), 4);
-    }
-
-    #[test]
-    fn from_iterator_sums_duplicate_keys() {
-        // Regression: `FromIterator` used to collect straight into the
-        // BTreeMap, so a duplicate key *overwrote* instead of summing —
-        // disagreeing with `merge` and `Extend` and silently dropping
-        // counts when per-shard reports were collected by iterator.
-        let s: StatSet = vec![
-            ("a".to_string(), 1),
-            ("b".to_string(), 10),
-            ("a".to_string(), 2),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(s.get("a"), 3, "duplicate keys must sum, not overwrite");
-        assert_eq!(s.get("b"), 10);
-    }
-
-    #[test]
-    fn merge_and_collect_agree_on_duplicates() {
-        let pairs = [("k".to_string(), 7), ("k".to_string(), 5)];
-        let collected: StatSet = pairs.iter().cloned().collect();
-        let mut merged = StatSet::new();
-        for (k, v) in &pairs {
-            let mut one = StatSet::new();
-            one.set(k.clone(), *v);
-            merged.merge(&one);
-        }
-        assert_eq!(collected, merged);
-    }
-
-    #[test]
     fn iteration_is_name_ordered() {
-        let mut s = StatSet::new();
-        s.set("b", 1);
-        s.set("a", 2);
+        let mut reg = StatRegistry::new();
+        reg.scope("").set("b", 1);
+        reg.scope("").set("a", 2);
+        let s = reg.to_stat_set();
         let keys: Vec<_> = s.iter().map(|(k, _)| k.to_string()).collect();
         assert_eq!(keys, ["a", "b"]);
+        assert_eq!((s.get("a"), s.get("absent"), s.len()), (2, 0, 2));
     }
 
     #[test]
     fn display_is_never_empty() {
-        let s = StatSet::new();
+        let s = StatRegistry::new().to_stat_set();
+        assert!(s.is_empty());
         assert_eq!(s.to_string(), "(no stats)");
     }
 
     #[test]
     fn display_is_stable_ordered_and_diffable() {
         // Insertion order must not leak into the report: the same
-        // counters inserted in any order render byte-identically.
-        let mut a = StatSet::new();
-        a.set("z.last", 3);
-        a.set("a.first", 1);
-        a.set("m.middle", 2);
-        let mut b = StatSet::new();
-        b.set("m.middle", 2);
-        b.set("z.last", 3);
-        b.set("a.first", 1);
-        assert_eq!(a.to_string(), b.to_string());
-        let rendered = a.to_string();
+        // counters registered in any order render byte-identically.
+        let mut a = StatRegistry::new();
+        a.scope("").set("z.last", 3);
+        a.scope("").set("a.first", 1);
+        a.scope("").set("m.middle", 2);
+        let mut b = StatRegistry::new();
+        b.scope("").set("m.middle", 2);
+        b.scope("").set("z.last", 3);
+        b.scope("").set("a.first", 1);
+        assert_eq!(a.to_stat_set().to_string(), b.to_stat_set().to_string());
+        let rendered = a.to_stat_set().to_string();
         let lines: Vec<&str> = rendered.lines().map(str::trim_end).collect();
         let mut sorted = lines.clone();
         sorted.sort();
@@ -497,14 +401,6 @@ mod tests {
         // Merging an empty histogram must not disturb min.
         a.merge(&Histogram::new());
         assert_eq!(a.min(), 10);
-    }
-
-    #[test]
-    fn collect_and_extend() {
-        let mut s: StatSet = vec![("a".to_string(), 1)].into_iter().collect();
-        s.extend(vec![("a".to_string(), 2), ("b".to_string(), 7)]);
-        assert_eq!(s.get("a"), 3);
-        assert_eq!(s.get("b"), 7);
     }
 
     #[test]
