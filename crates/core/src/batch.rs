@@ -34,8 +34,6 @@
 //! lost — and each member consumes one persist-boundary durability
 //! point, keeping armed-crash drivers scheme-agnostic.
 
-use std::collections::BTreeMap;
-
 use triad_cache::PrefetchClass;
 use triad_crypto::counter::AnyCounterBlock;
 use triad_crypto::ctr::{pad_batch, Iv};
@@ -44,7 +42,7 @@ use triad_meta::bmt::coalesce_dirty_paths;
 use triad_meta::layout::RegionKind;
 use triad_sim::events::emit;
 use triad_sim::time::Time;
-use triad_sim::BlockAddr;
+use triad_sim::{BlockAddr, BlockMap};
 
 use crate::engine::{EngineState, EvictItem, Result, SecureMemory};
 use crate::error::SecureMemoryError;
@@ -123,21 +121,53 @@ pub(crate) struct PendingBatch {
     /// its position and class and takes the newest bytes.
     writes: Vec<(WriteClass, StagedWrite)>,
     /// addr → position in `writes`.
-    index: BTreeMap<u64, usize>,
+    index: BlockMap<usize>,
     /// Root the persistent region reaches once the batch commits
     /// (tracked for the cumulative re-stage).
     new_persistent_root: Option<triad_meta::NodeBuf>,
-    /// Precomputed one-time pads keyed by (data block, major, minor).
-    pads: BTreeMap<(u64, u64, u8), Block>,
+    /// Precomputed one-time pads.
+    pads: BatchPads,
     /// Writes a scalar walk would have performed (before merging).
     pub(crate) naive_writes: u64,
 }
 
+/// An open batch's precomputed one-time pads, in member order.
+#[derive(Debug, Default)]
+pub(crate) struct BatchPads {
+    /// `(data block, major, minor)` and its pad.
+    entries: Vec<((u64, u64, u8), Block)>,
+    /// Data block → position of its first entry.
+    first: BlockMap<usize>,
+}
+
+impl BatchPads {
+    /// The pad for `(data block, major, minor)`, if precomputed. A block
+    /// written twice in one batch has a later entry per write.
+    fn get(&self, key: (u64, u64, u8)) -> Option<Block> {
+        let start = *self.first.get(key.0)?;
+        self.entries[start..]
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, pad)| *pad)
+    }
+}
+
+impl FromIterator<((u64, u64, u8), Block)> for BatchPads {
+    fn from_iter<I: IntoIterator<Item = ((u64, u64, u8), Block)>>(iter: I) -> Self {
+        let mut pads = BatchPads::default();
+        for (key, pad) in iter {
+            pads.first.get_or_insert_with(key.0, || pads.entries.len());
+            pads.entries.push((key, pad));
+        }
+        pads
+    }
+}
+
 impl PendingBatch {
-    pub(crate) fn new(pads: BTreeMap<(u64, u64, u8), Block>) -> Self {
+    pub(crate) fn new(pads: BatchPads) -> Self {
         PendingBatch {
             writes: Vec::new(),
-            index: BTreeMap::new(),
+            index: BlockMap::new(),
             new_persistent_root: None,
             pads,
             naive_writes: 0,
@@ -155,7 +185,7 @@ impl PendingBatch {
 
     /// Current staged bytes for `addr`, if pending.
     fn lookup(&self, addr: BlockAddr) -> Option<Block> {
-        self.index.get(&addr.0).map(|&i| self.writes[i].1.data)
+        self.index.get(addr.0).map(|&i| self.writes[i].1.data)
     }
 
     /// Refreshes the bytes of an already-pending write (used when an
@@ -163,7 +193,7 @@ impl PendingBatch {
     /// the commit/recovery replay cannot clobber it with stale bytes).
     /// Returns whether `addr` was pending.
     fn refresh(&mut self, addr: BlockAddr, data: Block) -> bool {
-        match self.index.get(&addr.0) {
+        match self.index.get(addr.0) {
             Some(&i) => {
                 self.writes[i].1.data = data;
                 true
@@ -312,7 +342,7 @@ impl SecureMemory {
     pub(crate) fn batch_pad(&self, block: BlockAddr, major: u64, minor: u8) -> Option<Block> {
         self.batch
             .as_ref()
-            .and_then(|p| p.pads.get(&(block.0, major, minor)).copied())
+            .and_then(|p| p.pads.get((block.0, major, minor)))
     }
 
     /// Merges one member's atomic update set into the open batch and
@@ -448,12 +478,9 @@ impl SecureMemory {
     /// find them (resident map, pending eviction, NVM image) *without*
     /// touching any engine state; a misprediction merely misses the pad
     /// map and the member falls back to the scalar AES path.
-    pub(crate) fn precompute_batch_pads(
-        &self,
-        members: &[(BlockAddr, Block)],
-    ) -> BTreeMap<(u64, u64, u8), Block> {
+    pub(crate) fn precompute_batch_pads(&self, members: &[(BlockAddr, Block)]) -> BatchPads {
         let split = self.split_counters();
-        let mut sim: BTreeMap<u64, AnyCounterBlock> = BTreeMap::new();
+        let mut sim: BlockMap<AnyCounterBlock> = BlockMap::new();
         let mut keys: Vec<(u64, u64, u8)> = Vec::new();
         let mut ivs: Vec<Iv> = Vec::new();
         for (block, _) in members {
@@ -469,8 +496,8 @@ impl SecureMemory {
             let leaf = data_index / coverage;
             let slot = (data_index % coverage) as usize;
             let addr = layout.counter_start + leaf;
-            let cb = sim.entry(addr.0).or_insert_with(|| {
-                if let Some(cb) = self.counters.get(&addr.0) {
+            let cb = sim.get_or_insert_with(addr.0, || {
+                if let Some(cb) = self.counters.get(addr.0) {
                     *cb
                 } else if let Some(EvictItem::Counter { value, .. }) = self
                     .evict_queue
@@ -499,7 +526,7 @@ impl SecureMemory {
     /// distinct lines planned.
     pub(crate) fn plan_batch_prefetch(&mut self, members: &[(BlockAddr, Block)]) -> u64 {
         let kind = RegionKind::Persistent;
-        let layout = self.layout(kind).clone();
+        let layout = self.layout(kind);
         if layout.is_empty() {
             return 0;
         }
@@ -538,10 +565,10 @@ impl SecureMemory {
             queued
                 || match class {
                     PrefetchClass::Counter => {
-                        counters.contains_key(&addr.0) || ctr_cache.probe(addr)
+                        counters.contains_key(addr.0) || ctr_cache.probe(addr)
                     }
-                    PrefetchClass::Mac => macs.contains_key(&addr.0) || mt_cache.probe(addr),
-                    PrefetchClass::Node => nodes.contains_key(&addr.0) || mt_cache.probe(addr),
+                    PrefetchClass::Mac => macs.contains_key(addr.0) || mt_cache.probe(addr),
+                    PrefetchClass::Node => nodes.contains_key(addr.0) || mt_cache.probe(addr),
                 }
         });
         emit(

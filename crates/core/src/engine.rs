@@ -29,7 +29,7 @@
 //!   is staged in persistent registers (READY_BIT), copied into the
 //!   WPQ, and committed; a crash mid-copy is replayed at recovery.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use triad_cache::{BatchPrefetcher, Cache, Replacement};
 use triad_crypto::aes::Aes128;
@@ -44,9 +44,9 @@ use triad_sim::config::SystemConfig;
 use triad_sim::events::{emit, SharedEventSink};
 use triad_sim::stats::{Histogram, Scope, StatRegister, StatRegistry, StatSet};
 use triad_sim::time::{Duration, Time};
-use triad_sim::{BlockAddr, PhysAddr, BLOCK_BYTES};
+use triad_sim::{BlockAddr, BlockMap, PhysAddr, BLOCK_BYTES};
 
-use crate::batch::PendingBatch;
+use crate::batch::{BatchPads, PendingBatch};
 use crate::error::{CrashHookKind, IntegrityKind, SecureMemoryError};
 use crate::recovery::{CorruptRange, RecoveryReport};
 use crate::registers::{PersistentRegisters, StagedWrite};
@@ -403,21 +403,21 @@ pub struct SecureMemory {
     pub(crate) ctr_cache: Cache,
     pub(crate) mt_cache: Cache,
     /// Plaintext of data blocks resident in L3.
-    pub(crate) plain: BTreeMap<u64, Block>,
+    pub(crate) plain: BlockMap<Block>,
     /// Current values of counter blocks resident in the counter cache.
-    pub(crate) counters: BTreeMap<u64, AnyCounterBlock>,
+    pub(crate) counters: BlockMap<AnyCounterBlock>,
     /// Current values of BMT nodes resident in the MT cache.
-    pub(crate) nodes: BTreeMap<u64, NodeBuf>,
+    pub(crate) nodes: BlockMap<NodeBuf>,
     /// Current values of MAC blocks resident in the MT cache.
-    pub(crate) macs: BTreeMap<u64, NodeBuf>,
+    pub(crate) macs: BlockMap<NodeBuf>,
     pub(crate) regs: PersistentRegisters,
     pub(crate) state: EngineState,
     pub(crate) counter_persistence: CounterPersistence,
     /// Updates since the last forced counter persist (Osiris mode).
-    osiris_since: BTreeMap<u64, u8>,
+    osiris_since: BlockMap<u8>,
     /// Non-persistent data blocks written this boot session (fresh
     /// anonymous pages read as zeros, like an OS zero page).
-    np_written: BTreeSet<u64>,
+    np_written: BlockMap<()>,
     boot_count: u64,
     pub(crate) stats: SecureStats,
     pub(crate) hists: SecureHists,
@@ -464,15 +464,15 @@ impl SecureMemory {
             l3: Cache::new("l3", config.l3, Replacement::Lru),
             ctr_cache: Cache::new("ctr", config.security.counter_cache, Replacement::Lru),
             mt_cache: Cache::new("mt", config.security.mt_cache, Replacement::Lru),
-            plain: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            nodes: BTreeMap::new(),
-            macs: BTreeMap::new(),
+            plain: BlockMap::new(),
+            counters: BlockMap::new(),
+            nodes: BlockMap::new(),
+            macs: BlockMap::new(),
             regs: PersistentRegisters::new(),
             state: EngineState::Running,
             counter_persistence,
-            osiris_since: BTreeMap::new(),
-            np_written: BTreeSet::new(),
+            osiris_since: BlockMap::new(),
+            np_written: BlockMap::new(),
             boot_count: 1,
             stats: SecureStats::default(),
             hists: SecureHists::default(),
@@ -757,7 +757,7 @@ impl SecureMemory {
     pub(crate) fn l3_touch(&mut self, block: BlockAddr, write: bool) -> bool {
         let out = self.l3.access(block, write);
         if let Some(v) = out.victim {
-            let plain = self.plain.remove(&v.addr.0).unwrap_or([0; BLOCK_BYTES]);
+            let plain = self.plain.remove(v.addr.0).unwrap_or([0; BLOCK_BYTES]);
             self.evict_queue.push(EvictItem::Data {
                 addr: v.addr,
                 plain,
@@ -770,7 +770,7 @@ impl SecureMemory {
     fn ctr_touch(&mut self, block: BlockAddr, write: bool) -> bool {
         let out = self.ctr_cache.access(block, write);
         if let Some(v) = out.victim {
-            if let Some(value) = self.counters.remove(&v.addr.0) {
+            if let Some(value) = self.counters.remove(v.addr.0) {
                 self.evict_queue.push(EvictItem::Counter {
                     addr: v.addr,
                     value,
@@ -784,13 +784,13 @@ impl SecureMemory {
     fn mt_touch(&mut self, block: BlockAddr, write: bool) -> bool {
         let out = self.mt_cache.access(block, write);
         if let Some(v) = out.victim {
-            if let Some(value) = self.nodes.remove(&v.addr.0) {
+            if let Some(value) = self.nodes.remove(v.addr.0) {
                 self.evict_queue.push(EvictItem::Node {
                     addr: v.addr,
                     value,
                     dirty: v.dirty,
                 });
-            } else if let Some(value) = self.macs.remove(&v.addr.0) {
+            } else if let Some(value) = self.macs.remove(v.addr.0) {
                 self.evict_queue.push(EvictItem::Mac {
                     addr: v.addr,
                     value,
@@ -907,7 +907,7 @@ impl SecureMemory {
         hash: Mac64,
         now: Time,
     ) -> Result<()> {
-        let geom = self.layout(kind).geometry.clone();
+        let geom = &self.layout(kind).geometry;
         let (p_level, p_index) = geom.parent(level, index);
         let slot = geom.child_slot(index);
         if p_level == geom.root_level() {
@@ -925,7 +925,7 @@ impl SecureMemory {
                     "BMT parent ({p_level}, {p_index}) has no in-memory address"
                 ))
             })?;
-        let entry = self.nodes.get_mut(&addr.0).ok_or_else(|| {
+        let entry = self.nodes.get_mut(addr.0).ok_or_else(|| {
             SecureMemoryError::internal(format!("ensure_node left no resident node at {addr}"))
         })?;
         entry.set_slot(slot, hash);
@@ -956,7 +956,7 @@ impl SecureMemory {
                     "BMT node ({level}, {index}) below root has no in-memory address"
                 ))
             })?;
-        if let Some(buf) = self.nodes.get(&addr.0) {
+        if let Some(buf) = self.nodes.get(addr.0) {
             let buf = *buf;
             let lat = self.mt_cache.latency();
             self.mt_touch(addr, false);
@@ -985,7 +985,7 @@ impl SecureMemory {
             },
             &bytes,
         );
-        let geom = self.layout(kind).geometry.clone();
+        let geom = &self.layout(kind).geometry;
         let (p_level, p_index) = geom.parent(level, index);
         let slot = geom.child_slot(index);
         let (parent, tp) = self.ensure_node(kind, p_level, p_index, now)?;
@@ -1038,7 +1038,7 @@ impl SecureMemory {
         now: Time,
     ) -> Result<(AnyCounterBlock, Time)> {
         let addr = self.layout(kind).counter_start + leaf;
-        if let Some(cb) = self.counters.get(&addr.0) {
+        if let Some(cb) = self.counters.get(addr.0) {
             let cb = *cb;
             let lat = self.ctr_cache.latency();
             self.ctr_touch(addr, false);
@@ -1055,7 +1055,7 @@ impl SecureMemory {
         };
         self.stats.counter_reads += 1;
         let h = bmt::leaf_hash(&self.mac_engine, kind, leaf, &bytes);
-        let geom = self.layout(kind).geometry.clone();
+        let geom = &self.layout(kind).geometry;
         let (p_level, p_index) = geom.parent(0, leaf);
         let slot = geom.child_slot(leaf);
         let (parent, tp) = self.ensure_node(kind, p_level, p_index, now)?;
@@ -1109,13 +1109,17 @@ impl SecureMemory {
         if kind != RegionKind::Persistent {
             return Ok(None);
         }
-        let layout = self.layout(kind).clone();
+        let layout = self.layout(kind);
+        let (coverage, data_blocks, data_start) = (
+            layout.counter_coverage,
+            layout.data_blocks,
+            layout.data_start,
+        );
         let split = self.split_counters();
         let mut cb = AnyCounterBlock::from_bytes(split, stored);
-        let coverage = layout.counter_coverage;
         for s in 0..coverage as usize {
             let data_index = leaf * coverage + s as u64;
-            if data_index >= layout.data_blocks {
+            if data_index >= data_blocks {
                 break;
             }
             let (mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
@@ -1123,7 +1127,7 @@ impl SecureMemory {
             if tag.is_zero() {
                 continue; // never written: stored (zero) counter stands
             }
-            let block = layout.data_start + data_index;
+            let block = data_start + data_index;
             let (ct, _) = self.mc.read(block, now);
             let mut trial = cb;
             let mut found = false;
@@ -1165,7 +1169,7 @@ impl SecureMemory {
         now: Time,
     ) -> Result<(NodeBuf, Time)> {
         let addr = self.layout(kind).mac_start + data_index / 8;
-        if let Some(buf) = self.macs.get(&addr.0) {
+        if let Some(buf) = self.macs.get(addr.0) {
             let buf = *buf;
             let lat = self.mt_cache.latency();
             self.mt_touch(addr, false);
@@ -1223,18 +1227,21 @@ impl SecureMemory {
             .map
             .data_region_of(block)
             .ok_or(SecureMemoryError::OutOfRange { addr: block.base() })?;
-        let layout = self.layout(kind).clone();
+        let layout = self.layout(kind);
         let data_index = layout.data_index(block);
         let coverage = layout.counter_coverage;
         let leaf = data_index / coverage;
         let slot = (data_index % coverage) as usize;
+        let counter_addr = layout.counter_start + leaf;
+        let mac_addr = layout.mac_start + data_index / 8;
+        let root_level = layout.geometry.root_level();
 
         // 1. Advance the counter.
         let (mut cb, mut t) = self.ensure_counter(kind, leaf, now)?;
         let old_cb = cb;
         let outcome = cb.increment(slot);
-        self.counters.insert((layout.counter_start + leaf).0, cb);
-        self.ctr_touch(layout.counter_start + leaf, true);
+        self.counters.insert(counter_addr.0, cb);
+        self.ctr_touch(counter_addr, true);
 
         // 2. Encrypt and MAC the block. An open batch may have
         //    precomputed this pad from the batched AES pass; a miss
@@ -1254,7 +1261,6 @@ impl SecureMemory {
         let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
-        let mac_addr = layout.mac_start + data_index / 8;
         self.macs.insert(mac_addr.0, mac_buf);
         self.mt_touch(mac_addr, true);
         t = t.max(t_mac) + self.config.security.hash_latency;
@@ -1270,13 +1276,12 @@ impl SecureMemory {
             // The re-encryption rewrote the page's other tags, some of
             // them in this block's MAC line: stage the line as it
             // stands now, not the copy taken at step 2.
-            if let Some(buf) = self.macs.get(&mac_addr.0) {
+            if let Some(buf) = self.macs.get(mac_addr.0) {
                 mac_buf = *buf;
             }
         }
 
         // 4. Propagate to the tree and to NVM.
-        let counter_addr = layout.counter_start + leaf;
         let counter_bytes = cb.to_bytes();
         let leaf_h = bmt::leaf_hash(&self.mac_engine, kind, leaf, &counter_bytes);
         self.stats.nvm_data_writes += 1;
@@ -1295,7 +1300,7 @@ impl SecureMemory {
             let persist_levels = self
                 .scheme
                 .persisted_bmt_levels()
-                .min(layout.geometry.root_level().saturating_sub(1));
+                .min(root_level.saturating_sub(1));
             let (staged_nodes, new_root, t_path) =
                 self.update_path(kind, leaf, leaf_h, persist_levels, now)?;
             t = t.max(t_path);
@@ -1305,7 +1310,7 @@ impl SecureMemory {
             let persist_counter = match self.counter_persistence {
                 CounterPersistence::Strict => true,
                 CounterPersistence::Osiris { interval } => {
-                    let since = self.osiris_since.entry(counter_addr.0).or_insert(0);
+                    let since = self.osiris_since.get_or_insert_with(counter_addr.0, || 0);
                     *since += 1;
                     if *since >= interval {
                         *since = 0;
@@ -1339,7 +1344,7 @@ impl SecureMemory {
             // root at staging time stays crash-safe.
             let standalone = self.batch.is_none();
             if standalone {
-                self.batch = Some(PendingBatch::new(BTreeMap::new()));
+                self.batch = Some(PendingBatch::new(BatchPads::default()));
             }
             self.stage_into_batch(kind, &writes, persist_counter, new_root);
             self.set_root(kind, new_root);
@@ -1377,8 +1382,13 @@ impl SecureMemory {
         persist_macs: bool,
         now: Time,
     ) -> Result<Time> {
-        let layout = self.layout(kind).clone();
-        let coverage = layout.counter_coverage;
+        let layout = self.layout(kind);
+        let (coverage, data_blocks, data_start, mac_start) = (
+            layout.counter_coverage,
+            layout.data_blocks,
+            layout.data_start,
+            layout.mac_start,
+        );
         let mut t = now;
         let mut touched_macs = BTreeSet::new();
         for s in 0..coverage as usize {
@@ -1386,10 +1396,10 @@ impl SecureMemory {
                 continue;
             }
             let data_index = leaf * coverage + s as u64;
-            if data_index >= layout.data_blocks {
+            if data_index >= data_blocks {
                 break;
             }
-            let block = layout.data_start + data_index;
+            let block = data_start + data_index;
             let (mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             let tag = mac_buf.slot((data_index % 8) as usize);
             // Get the plaintext: cached, fresh, or decrypt the old
@@ -1398,7 +1408,7 @@ impl SecureMemory {
                 EvictItem::Data { addr, plain, .. } if *addr == block => Some(*plain),
                 _ => None,
             });
-            let plaintext = if let Some(p) = self.plain.get(&block.0) {
+            let plaintext = if let Some(p) = self.plain.get(block.0) {
                 *p
             } else if let Some(p) = queued_plain {
                 p
@@ -1422,7 +1432,7 @@ impl SecureMemory {
             let new_tag = self.data_tag(block, &ct_new, &iv_new);
             let (mut mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             mac_buf.set_slot((data_index % 8) as usize, new_tag);
-            let mac_addr = layout.mac_start + data_index / 8;
+            let mac_addr = mac_start + data_index / 8;
             self.macs.insert(mac_addr.0, mac_buf);
             self.mt_touch(mac_addr, true);
             touched_macs.insert(mac_addr.0);
@@ -1444,7 +1454,7 @@ impl SecureMemory {
             // persistence domain with the re-encrypted data, or a crash
             // would leave new ciphertext under stale NVM tags.
             for mac_addr in touched_macs {
-                if let Some(buf) = self.macs.get(&mac_addr) {
+                if let Some(buf) = self.macs.get(mac_addr) {
                     let data = buf.0;
                     if self.batch.is_some() {
                         self.batch_stage_raw(
@@ -1473,16 +1483,16 @@ impl SecureMemory {
         persist_levels: u8,
         now: Time,
     ) -> Result<(Vec<StagedWrite>, NodeBuf, Time)> {
-        let layout = self.layout(kind).clone();
-        let geom = layout.geometry.clone();
+        let geom = &self.layout(kind).geometry;
+        let (root_level, arity) = (geom.root_level(), geom.arity());
         let mut staged = Vec::new();
         let mut h = leaf_hash;
         let mut child_index = leaf;
         let mut t = now;
-        for level in 1..=geom.root_level() {
-            let slot = geom.child_slot(child_index);
-            let index = child_index / geom.arity();
-            if level == geom.root_level() {
+        for level in 1..=root_level {
+            let slot = self.layout(kind).geometry.child_slot(child_index);
+            let index = child_index / arity;
+            if level == root_level {
                 let mut root = self.root(kind);
                 root.set_slot(slot, h);
                 t += self.config.security.hash_latency;
@@ -1493,11 +1503,14 @@ impl SecureMemory {
             let persist_this = level <= persist_levels;
             self.put_node(kind, level, index, buf, !persist_this)?;
             if persist_this {
-                let addr = layout.bmt_node_addr(level, index).ok_or_else(|| {
-                    SecureMemoryError::internal(format!(
-                        "persisted BMT node ({level}, {index}) has no in-memory address"
-                    ))
-                })?;
+                let addr = self
+                    .layout(kind)
+                    .bmt_node_addr(level, index)
+                    .ok_or_else(|| {
+                        SecureMemoryError::internal(format!(
+                            "persisted BMT node ({level}, {index}) has no in-memory address"
+                        ))
+                    })?;
                 staged.push(StagedWrite { addr, data: buf.0 });
             }
             h = bmt::node_hash(
@@ -1543,11 +1556,7 @@ impl SecureMemory {
         self.stats.loads += 1;
         if self.l3_touch(block, false) {
             self.stats.l3_load_hits += 1;
-            let data = self
-                .plain
-                .get(&block.0)
-                .copied()
-                .unwrap_or([0; BLOCK_BYTES]);
+            let data = self.plain.get(block.0).copied().unwrap_or([0; BLOCK_BYTES]);
             self.drain_evictions(now)?;
             let done = now + self.l3.latency();
             self.hists.op_latency_ns.record(done.since(now).as_ns());
@@ -1563,7 +1572,7 @@ impl SecureMemory {
             return Ok((plain, done));
         }
         // Fresh non-persistent blocks read as zeros (OS zero page).
-        if kind == RegionKind::NonPersistent && !self.np_written.contains(&block.0) {
+        if kind == RegionKind::NonPersistent && !self.np_written.contains_key(block.0) {
             self.stats.fresh_reads += 1;
             self.plain.insert(block.0, [0; BLOCK_BYTES]);
             let (_, t) = self.mc.read(block, now);
@@ -1571,7 +1580,7 @@ impl SecureMemory {
             self.hists.op_latency_ns.record(t.since(now).as_ns());
             return Ok(([0; BLOCK_BYTES], t));
         }
-        let layout = self.layout(kind).clone();
+        let layout = self.layout(kind);
         let data_index = layout.data_index(block);
         let leaf = data_index / layout.counter_coverage;
         let slot = (data_index % layout.counter_coverage) as usize;
@@ -1622,7 +1631,7 @@ impl SecureMemory {
         }
         self.stats.stores += 1;
         if kind == RegionKind::NonPersistent {
-            self.np_written.insert(block.0);
+            self.np_written.insert(block.0, ());
         }
         // Supersede any pending write-back of the same block.
         self.reclaim(block);
@@ -1725,11 +1734,7 @@ impl SecureMemory {
         let mut members = Vec::new();
         for block in pending {
             if seen.insert(block.0) && self.l3.probe_dirty(block) {
-                let plaintext = self
-                    .plain
-                    .get(&block.0)
-                    .copied()
-                    .unwrap_or([0; BLOCK_BYTES]);
+                let plaintext = self.plain.get(block.0).copied().unwrap_or([0; BLOCK_BYTES]);
                 members.push((block, plaintext));
             }
         }
@@ -1764,11 +1769,7 @@ impl SecureMemory {
         if self.persist_boundary_crash(now) {
             return Err(SecureMemoryError::NeedsRecovery);
         }
-        let plaintext = self
-            .plain
-            .get(&block.0)
-            .copied()
-            .unwrap_or([0; BLOCK_BYTES]);
+        let plaintext = self.plain.get(block.0).copied().unwrap_or([0; BLOCK_BYTES]);
         let t = self.writeback_data(block, plaintext, now + self.l3.latency())?;
         self.l3.flush(block);
         self.drain_evictions(now)?;
@@ -2030,27 +2031,27 @@ impl SecureMemory {
         let mut problems = Vec::new();
         // 1. Map <-> cache agreement.
         for addr in self.counters.keys() {
-            if !self.ctr_cache.probe(BlockAddr(*addr)) {
+            if !self.ctr_cache.probe(BlockAddr(addr)) {
                 problems.push(format!("counter {addr:#x} in map but not cached"));
             }
         }
         for addr in self.nodes.keys().chain(self.macs.keys()) {
-            if !self.mt_cache.probe(BlockAddr(*addr)) {
+            if !self.mt_cache.probe(BlockAddr(addr)) {
                 problems.push(format!("metadata {addr:#x} in map but not cached"));
             }
         }
         for addr in self.plain.keys() {
-            if !self.l3.probe(BlockAddr(*addr)) {
+            if !self.l3.probe(BlockAddr(addr)) {
                 problems.push(format!("plaintext {addr:#x} in map but not in L3"));
             }
         }
         // 2. Queued victims are off-chip.
         for item in &self.evict_queue {
             let a = item.addr();
-            if self.counters.contains_key(&a.0)
-                || self.nodes.contains_key(&a.0)
-                || self.macs.contains_key(&a.0)
-                || self.plain.contains_key(&a.0)
+            if self.counters.contains_key(a.0)
+                || self.nodes.contains_key(a.0)
+                || self.macs.contains_key(a.0)
+                || self.plain.contains_key(a.0)
             {
                 problems.push(format!("queued victim {a} still resident"));
             }
@@ -2072,7 +2073,7 @@ impl SecureMemory {
                 let paddr = layout.bmt_node_addr(pl, pi)?;
                 let buf = self
                     .nodes
-                    .get(&paddr.0)
+                    .get(paddr.0)
                     .copied()
                     .unwrap_or(NodeBuf(store.read(paddr)));
                 Some(buf.slot(slot))
@@ -2080,7 +2081,7 @@ impl SecureMemory {
             let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
             for leaf in 0..geom.leaves() {
                 let addr = layout.counter_start + leaf;
-                if self.counters.contains_key(&addr.0)
+                if self.counters.contains_key(addr.0)
                     || self.evict_queue.iter().any(|e| e.addr() == addr)
                 {
                     continue; // on-chip copies may legitimately run ahead

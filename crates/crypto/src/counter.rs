@@ -7,6 +7,10 @@
 //! major counter is incremented, every minor counter resets to zero and
 //! the whole page must be re-encrypted.
 //!
+//! The minors are packed LSB-first, 7 bits each, from byte 8 on, so
+//! every 7-byte chunk holds exactly eight of them; the codec moves one
+//! `u64` per chunk rather than one bit field per minor.
+//!
 //! A monolithic per-block 64-bit counter is provided for comparison
 //! (it is what SGX-style designs use, at 8× the space).
 
@@ -89,20 +93,20 @@ impl SplitCounterBlock {
 
     /// Serialises into the 64-byte memory layout: major counter in the
     /// first 8 bytes (little-endian), then the 64 minors packed 7 bits
-    /// each into the remaining 56 bytes.
+    /// each, LSB-first, into the remaining 56 bytes.
+    ///
+    /// Eight 7-bit minors fill exactly one 7-byte chunk, so each chunk
+    /// is built as one little-endian `u64` and its low 7 bytes stored.
     pub fn to_bytes(&self) -> [u8; 64] {
         let mut out = [0u8; 64];
         out[..8].copy_from_slice(&self.major.to_le_bytes());
-        let mut bit = 0usize;
-        for &m in &self.minors {
-            let byte = 8 + bit / 8;
-            let off = bit % 8;
-            out[byte] |= m << off;
-            if off > 1 {
-                // 7 bits spill into the next byte when offset > 1.
-                out[byte + 1] |= m >> (8 - off);
-            }
-            bit += 7;
+        for (chunk, minors) in self.minors.chunks_exact(8).enumerate() {
+            let word = minors
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (k, &m)| w | (m as u64) << (7 * k));
+            let at = 8 + 7 * chunk;
+            out[at..at + 7].copy_from_slice(&word.to_le_bytes()[..7]);
         }
         out
     }
@@ -111,16 +115,14 @@ impl SplitCounterBlock {
     pub fn from_bytes(bytes: &[u8; 64]) -> Self {
         let major = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
         let mut minors = [0u8; MINORS_PER_BLOCK];
-        let mut bit = 0usize;
-        for m in &mut minors {
-            let byte = 8 + bit / 8;
-            let off = bit % 8;
-            let mut v = (bytes[byte] >> off) as u16;
-            if off > 1 {
-                v |= (bytes[byte + 1] as u16) << (8 - off);
+        for (chunk, out) in minors.chunks_exact_mut(8).enumerate() {
+            // The 8 bytes ending at this chunk's last byte, shifted
+            // down past the one byte that precedes the chunk.
+            let at = 7 + 7 * chunk;
+            let word = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")) >> 8;
+            for (k, m) in out.iter_mut().enumerate() {
+                *m = (word >> (7 * k)) as u8 & 0x7f;
             }
-            *m = (v & 0x7f) as u8;
-            bit += 7;
         }
         SplitCounterBlock { major, minors }
     }
@@ -440,6 +442,100 @@ mod tests {
         // All 8 + 56 bytes carry payload when everything is maxed.
         assert!(bytes.iter().all(|&x| x == 0xFF), "{bytes:?}");
         assert_eq!(SplitCounterBlock::from_bytes(&bytes), b);
+    }
+
+    /// A bit-at-a-time codec written straight from the layout (one
+    /// 7-bit field per minor), the test oracle for the word-wise one.
+    fn oracle_to_bytes(b: &SplitCounterBlock) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        out[..8].copy_from_slice(&b.major.to_le_bytes());
+        let mut bit = 0usize;
+        for &m in &b.minors {
+            let byte = 8 + bit / 8;
+            let off = bit % 8;
+            out[byte] |= m << off;
+            if off > 1 {
+                out[byte + 1] |= m >> (8 - off);
+            }
+            bit += 7;
+        }
+        out
+    }
+
+    fn oracle_from_bytes(bytes: &[u8; 64]) -> SplitCounterBlock {
+        let major = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        let mut minors = [0u8; MINORS_PER_BLOCK];
+        let mut bit = 0usize;
+        for m in &mut minors {
+            let byte = 8 + bit / 8;
+            let off = bit % 8;
+            let mut v = (bytes[byte] >> off) as u16;
+            if off > 1 {
+                v |= (bytes[byte + 1] as u16) << (8 - off);
+            }
+            *m = (v & 0x7f) as u8;
+            bit += 7;
+        }
+        SplitCounterBlock { major, minors }
+    }
+
+    /// SplitMix64, inlined: this crate has no dependencies, not even
+    /// on the workspace's seeded RNG.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn word_codec_matches_the_bit_loop_oracle() {
+        let mut seed = 0x7C0D_EC0D;
+        for case in 0..4000 {
+            let major = match case % 4 {
+                0 => 0,
+                1 => u64::MAX,
+                _ => splitmix(&mut seed),
+            };
+            let minors: [u8; MINORS_PER_BLOCK] =
+                core::array::from_fn(|_| (splitmix(&mut seed) % (MINOR_MAX as u64 + 1)) as u8);
+            let b = SplitCounterBlock { major, minors };
+            let bytes = b.to_bytes();
+            assert_eq!(bytes, oracle_to_bytes(&b), "case {case}: {b:?}");
+            assert_eq!(SplitCounterBlock::from_bytes(&bytes), b, "case {case}");
+            // Any 64 bytes (a tampered image) decode as the oracle does.
+            let raw: [u8; 64] = core::array::from_fn(|_| splitmix(&mut seed) as u8);
+            assert_eq!(
+                SplitCounterBlock::from_bytes(&raw),
+                oracle_from_bytes(&raw),
+                "case {case}: {raw:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn packed_layout_golden_vector() {
+        // Minor i = i (so slot 0 is 0 and slot 63 is 63), major
+        // 0x0102030405060708. Pins the LSB-first 7-bit layout.
+        let b = SplitCounterBlock {
+            major: 0x0102_0304_0506_0708,
+            minors: core::array::from_fn(|i| i as u8),
+        };
+        let golden: [u8; 64] = [
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // major
+            0x80, 0x80, 0x60, 0x40, 0x28, 0x18, 0x0e, // minors 0..8
+            0x88, 0x84, 0x62, 0xc1, 0x68, 0x38, 0x1e, // minors 8..16
+            0x90, 0x88, 0x64, 0x42, 0xa9, 0x58, 0x2e, // minors 16..24
+            0x98, 0x8c, 0x66, 0xc3, 0xe9, 0x78, 0x3e, // minors 24..32
+            0xa0, 0x90, 0x68, 0x44, 0x2a, 0x99, 0x4e, // minors 32..40
+            0xa8, 0x94, 0x6a, 0xc5, 0x6a, 0xb9, 0x5e, // minors 40..48
+            0xb0, 0x98, 0x6c, 0x46, 0xab, 0xd9, 0x6e, // minors 48..56
+            0xb8, 0x9c, 0x6e, 0xc7, 0xeb, 0xf9, 0x7e, // minors 56..64
+        ];
+        assert_eq!(oracle_to_bytes(&b), golden);
+        assert_eq!(b.to_bytes(), golden);
+        assert_eq!(SplitCounterBlock::from_bytes(&golden), b);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use triad_sim::config::MemConfig;
 use triad_sim::events::{emit, SharedEventSink};
 use triad_sim::stats::{Histogram, Scope, StatRegister};
 use triad_sim::time::{Duration, Time};
-use triad_sim::BlockAddr;
+use triad_sim::{BlockAddr, BlockMap};
 
 /// Memory-controller statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,13 +77,13 @@ impl StatRegister for MemHistograms {
 /// motivations for relaxed persistence).
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    writes: std::collections::BTreeMap<u64, u64>,
+    writes: BlockMap<u64>,
 }
 
 impl WearTracker {
     /// Records one physical write to `addr`.
     pub fn record(&mut self, addr: BlockAddr) {
-        *self.writes.entry(addr.0).or_insert(0) += 1;
+        *self.writes.get_or_insert_with(addr.0, || 0) += 1;
     }
 
     /// Writes absorbed by the most-written block (the wear hot spot).
@@ -121,7 +121,7 @@ impl WearTracker {
         let mut v: Vec<(BlockAddr, u64)> = self
             .writes
             .iter()
-            .map(|(a, w)| (BlockAddr(*a), *w))
+            .map(|(a, w)| (BlockAddr(a), *w))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
         v.truncate(n);

@@ -5,6 +5,8 @@
 //!
 //! * [`time`] — picosecond-resolution simulated time ([`Time`], [`Duration`]).
 //! * [`addr`] — physical / 64-byte-block address newtypes.
+//! * [`blockmap`] — [`BlockMap`], the fixed-key open-addressing map the
+//!   model keys by block address (deterministic, ordered iteration).
 //! * [`trace`] — the memory-operation trace interface that workload
 //!   generators produce and the multi-core driver consumes.
 //! * [`config`] — the full simulated-system configuration, with defaults
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod blockmap;
 pub mod config;
 pub mod events;
 pub mod prop;
@@ -48,6 +51,7 @@ pub mod trace;
 pub mod trace_file;
 
 pub use addr::{BlockAddr, PhysAddr, BLOCK_BYTES, BLOCK_SHIFT};
+pub use blockmap::BlockMap;
 pub use config::SystemConfig;
 pub use events::{EventSink, SharedEventSink};
 pub use sched::{Interleaver, SchedError, SchedEvent};
