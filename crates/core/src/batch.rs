@@ -26,9 +26,10 @@
 //!
 //! ## Crash safety
 //!
-//! The pending buffer is **cumulatively re-staged** into the
-//! persistent registers after every mutation: at any point mid-batch
-//! the registers hold the full replayable prefix (all fully processed
+//! The merged writes are **staged in place** in the persistent
+//! registers: every stage, refresh and root advance updates the
+//! registers' [`StagedUpdate`] directly, so at any point mid-batch the
+//! registers hold the full replayable prefix (all fully processed
 //! members, merged). A crash between members therefore recovers
 //! exactly like the scalar walk — processed members durable, the rest
 //! lost — and each member consumes one persist-boundary durability
@@ -46,7 +47,7 @@ use triad_sim::{BlockAddr, BlockMap};
 
 use crate::engine::{EngineState, EvictItem, Result, SecureMemory};
 use crate::error::SecureMemoryError;
-use crate::registers::{StagedUpdate, StagedWrite};
+use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
 
 /// A program-ordered set of full-block writes to persist together.
 ///
@@ -112,19 +113,18 @@ pub(crate) enum WriteClass {
     Node,
 }
 
-/// The open batch's staging buffer: last-wins merged writes in
-/// first-staging order, the pending persistent root, and the
-/// precomputed pads.
+/// The open batch's bookkeeping beside its staged update: the class
+/// and address index of each merged write, and the precomputed pads.
+/// The merged writes and the pending persistent root live in the
+/// persistent registers' [`StagedUpdate`] (see the module docs).
 #[derive(Debug)]
 pub(crate) struct PendingBatch {
-    /// Merged writes in first-staging order; a re-staged address keeps
-    /// its position and class and takes the newest bytes.
-    writes: Vec<(WriteClass, StagedWrite)>,
-    /// addr → position in `writes`.
+    /// Class of each merged write, in first-staging order: entry `i`
+    /// classes the registers' staged write `i`. A re-staged address
+    /// keeps its position and class and takes the newest bytes.
+    classes: Vec<WriteClass>,
+    /// addr → position in `classes` and in the staged writes.
     index: BlockMap<usize>,
-    /// Root the persistent region reaches once the batch commits
-    /// (tracked for the cumulative re-stage).
-    new_persistent_root: Option<triad_meta::NodeBuf>,
     /// Precomputed one-time pads.
     pads: BatchPads,
     /// Writes a scalar walk would have performed (before merging).
@@ -166,36 +166,49 @@ impl FromIterator<((u64, u64, u8), Block)> for BatchPads {
 impl PendingBatch {
     pub(crate) fn new(pads: BatchPads) -> Self {
         PendingBatch {
-            writes: Vec::new(),
+            classes: Vec::new(),
             index: BlockMap::new(),
-            new_persistent_root: None,
             pads,
             naive_writes: 0,
         }
     }
 
-    /// Stages one write, merging last-wins on address. The class and
-    /// position of the first staging are kept.
-    fn stage(&mut self, class: WriteClass, addr: BlockAddr, data: Block) {
-        if !self.refresh(addr, data) {
-            self.index.insert(addr.0, self.writes.len());
-            self.writes.push((class, StagedWrite { addr, data }));
+    /// Stages one write into `regs`, merging last-wins on address. The
+    /// class and position of the first staging are kept. The batch's
+    /// first write replaces whatever `regs` held, so the registers
+    /// carry this batch's prefix alone.
+    fn stage(
+        &mut self,
+        regs: &mut PersistentRegisters,
+        class: WriteClass,
+        addr: BlockAddr,
+        data: Block,
+    ) {
+        if self.refresh(regs, addr, data) {
+            return;
         }
+        if self.classes.is_empty() {
+            regs.stage(StagedUpdate::default());
+        }
+        self.index.insert(addr.0, self.classes.len());
+        self.classes.push(class);
+        regs.staged_mut().writes.push(StagedWrite { addr, data });
     }
 
     /// Current staged bytes for `addr`, if pending.
-    fn lookup(&self, addr: BlockAddr) -> Option<Block> {
-        self.index.get(addr.0).map(|&i| self.writes[i].1.data)
+    fn lookup(&self, regs: &PersistentRegisters, addr: BlockAddr) -> Option<Block> {
+        let &i = self.index.get(addr.0)?;
+        regs.staged_writes().get(i).map(|w| w.data)
     }
 
     /// Refreshes the bytes of an already-pending write (used when an
     /// eviction writes a newer value of the block straight to NVM, so
     /// the commit/recovery replay cannot clobber it with stale bytes).
     /// Returns whether `addr` was pending.
-    fn refresh(&mut self, addr: BlockAddr, data: Block) -> bool {
+    fn refresh(&mut self, regs: &mut PersistentRegisters, addr: BlockAddr, data: Block) -> bool {
         match self.index.get(addr.0) {
             Some(&i) => {
-                self.writes[i].1.data = data;
+                regs.staged_mut().writes[i].data = data;
                 true
             }
             None => false,
@@ -335,7 +348,7 @@ impl SecureMemory {
     /// data fetches must prefer these over the (stale-until-commit)
     /// NVM copy.
     pub(crate) fn batch_forward(&self, addr: BlockAddr) -> Option<Block> {
-        self.batch.as_ref().and_then(|p| p.lookup(addr))
+        self.batch.as_ref().and_then(|p| p.lookup(&self.regs, addr))
     }
 
     /// Precomputed pad for `(block, major, minor)` in the open batch.
@@ -345,8 +358,8 @@ impl SecureMemory {
             .and_then(|p| p.pads.get((block.0, major, minor)))
     }
 
-    /// Merges one member's atomic update set into the open batch and
-    /// cumulatively re-stages the persistent registers. `writes` is
+    /// Merges one member's atomic update set into the open batch, in
+    /// place in the persistent registers. `writes` is
     /// positionally classed exactly as the scalar protocol builds it:
     /// data, then (optionally) the counter, then the MAC, then nodes.
     pub(crate) fn stage_into_batch(
@@ -365,12 +378,11 @@ impl SecureMemory {
                     (1, false) | (2, true) => WriteClass::Mac,
                     _ => WriteClass::Node,
                 };
-                pending.stage(class, w.addr, w.data);
+                pending.stage(&mut self.regs, class, w.addr, w.data);
             }
             if kind == RegionKind::Persistent {
-                pending.new_persistent_root = Some(new_root);
+                self.regs.staged_mut().new_persistent_root = Some(new_root);
             }
-            self.restage_batch();
         }
     }
 
@@ -378,8 +390,7 @@ impl SecureMemory {
     pub(crate) fn batch_stage_raw(&mut self, class: WriteClass, addr: BlockAddr, data: Block) {
         if let Some(pending) = &mut self.batch {
             pending.naive_writes += 1;
-            pending.stage(class, addr, data);
-            self.restage_batch();
+            pending.stage(&mut self.regs, class, addr, data);
         }
     }
 
@@ -387,27 +398,9 @@ impl SecureMemory {
     /// the same block (eviction mid-batch), so neither the commit nor a
     /// recovery replay can roll the block back to stale bytes.
     pub(crate) fn batch_refresh(&mut self, addr: BlockAddr, data: Block) {
-        let refreshed = match &mut self.batch {
-            Some(pending) => pending.refresh(addr, data),
-            None => false,
-        };
-        if refreshed {
-            self.restage_batch();
+        if let Some(pending) = &mut self.batch {
+            pending.refresh(&mut self.regs, addr, data);
         }
-    }
-
-    /// Re-stages the full merged pending set (and pending root) into
-    /// the persistent registers. Keeping the registers cumulative makes
-    /// the per-member root advance crash-safe: whatever prefix of the
-    /// batch has been processed is always replayable.
-    fn restage_batch(&mut self) {
-        let Some(pending) = &self.batch else { return };
-        let writes: Vec<StagedWrite> = pending.writes.iter().map(|(_, w)| *w).collect();
-        let new_persistent_root = pending.new_persistent_root;
-        self.regs.stage(StagedUpdate {
-            writes,
-            new_persistent_root,
-        });
     }
 
     /// Commits the open batch — the one implementation of the §3.3.5
@@ -420,27 +413,28 @@ impl SecureMemory {
         let Some(pending) = self.batch.take() else {
             return Ok(now);
         };
-        let writes = pending.writes;
-        if writes.is_empty() {
+        let classes = pending.classes;
+        if classes.is_empty() {
             return Ok(now);
         }
-        let merged = pending.naive_writes - writes.len() as u64;
+        let merged = pending.naive_writes - classes.len() as u64;
         let mut t = now
             + self
                 .config
                 .security
                 .persistent_register_latency
-                .saturating_mul(writes.len() as u64 + 1);
+                .saturating_mul(classes.len() as u64 + 1);
         emit(
             &self.events,
             now,
             "atomic_persist",
             &[
-                ("staged_writes", writes.len().into()),
+                ("staged_writes", classes.len().into()),
                 ("merged_away", merged.into()),
             ],
         );
-        for (class, w) in &writes {
+        for (i, class) in classes.iter().enumerate() {
+            let w = self.regs.staged_writes()[i];
             if let Some(left) = self.crash_after_wpq_writes {
                 if left == 0 {
                     // First fire wins: disarm the persist-boundary

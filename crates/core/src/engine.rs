@@ -1338,10 +1338,10 @@ impl SecureMemory {
             writes.extend(staged_nodes);
             // §3.3.5 has one implementation, `commit_batch`: the update
             // set merges into the open batch, or into a batch of one
-            // that commits before this write-back returns. The
-            // cumulative re-stage keeps the persistent registers
-            // holding the whole replayable prefix, so advancing the
-            // root at staging time stays crash-safe.
+            // that commits before this write-back returns. Staging in
+            // place keeps the persistent registers holding the whole
+            // replayable prefix, so advancing the root at staging time
+            // stays crash-safe.
             let standalone = self.batch.is_none();
             if standalone {
                 self.batch = Some(PendingBatch::new(BatchPads::default()));

@@ -76,6 +76,19 @@ impl PersistentRegisters {
         self.staged = Some(update);
     }
 
+    /// The staged update for in-place amendment (an open batch grows
+    /// it write by write). Sets READY_BIT with an empty update if it
+    /// was clear.
+    pub(crate) fn staged_mut(&mut self) -> &mut StagedUpdate {
+        self.staged.get_or_insert_with(StagedUpdate::default)
+    }
+
+    /// The staged writes, in staging order (empty when READY_BIT is
+    /// clear).
+    pub(crate) fn staged_writes(&self) -> &[StagedWrite] {
+        self.staged.as_ref().map_or(&[], |u| &u.writes)
+    }
+
     /// Clears READY_BIT after a completed WPQ copy.
     pub fn commit(&mut self) {
         self.staged = None;
@@ -134,6 +147,21 @@ mod tests {
         assert_eq!(r.take_staged(), Some(u));
         assert_eq!(r.take_staged(), None);
         assert!(!r.ready_bit());
+    }
+
+    #[test]
+    fn staged_mut_amends_in_place() {
+        let mut r = PersistentRegisters::new();
+        assert!(r.staged_writes().is_empty());
+        let w = StagedWrite {
+            addr: BlockAddr(4),
+            data: [4; 64],
+        };
+        r.staged_mut().writes.push(w);
+        assert!(r.ready_bit(), "amending sets READY_BIT");
+        r.staged_mut().writes[0].data = [5; 64];
+        assert_eq!(r.staged_writes()[0].data, [5; 64]);
+        assert_eq!(r.take_staged().map(|u| u.writes.len()), Some(1));
     }
 
     #[test]

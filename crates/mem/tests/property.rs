@@ -73,7 +73,8 @@ fn reads_always_see_the_latest_accepted_write() {
                 }
             }
             // Everything accepted must survive a crash.
-            let image = mc.crash();
+            mc.crash();
+            let image = mc.store();
             for (addr, fill) in model {
                 let expected = if fill == 0 { [0u8; 64] } else { [fill; 64] };
                 ensure!(
@@ -214,8 +215,9 @@ fn coalescing_never_loses_the_newest_value() {
                 mc.stats().wpq_coalesced
             );
             let expected = if last == 0 { [0u8; 64] } else { [last; 64] };
+            mc.crash();
             ensure!(
-                mc.crash().read(BlockAddr(7)) == expected,
+                mc.store().read(BlockAddr(7)) == expected,
                 "newest value lost"
             );
             Ok(())
