@@ -11,7 +11,7 @@
 //! |---|---|
 //! | `determinism/hash-order` | no default-hasher maps in sim/core/mem/meta |
 //! | `determinism/wall-clock` | no `Instant`/`SystemTime` outside `crates/bench` |
-//! | `panic-policy` | no `unwrap`/`expect`/`panic!` in core/mem/meta non-test code |
+//! | `panic-policy` | no `unwrap`/`expect`/`panic!` in core/mem/meta/kv/recov and the serving path, non-test code |
 //! | `persist-order` | every public engine op drains the eviction queue on Ok paths |
 //! | `stats-registration` | every declared stat counter is reported |
 //! | `suppression-rationale` | every `allow(...)` carries a `-- reason` |

@@ -1,5 +1,7 @@
-//! `panic-policy`: non-test code of `crates/core`, `crates/mem` and
-//! `crates/meta` must not `unwrap()`, `expect(...)` or `panic!`. A
+//! `panic-policy`: non-test code of `crates/core`, `crates/mem`,
+//! `crates/meta`, `crates/kv`, `crates/recov` and the KV serving
+//! layer (`crates/workloads/src/service.rs`) must not `unwrap()`,
+//! `expect(...)` or `panic!`. A
 //! crash-recovery engine that aborts mid-operation is indistinguishable
 //! from the crashes it models; fallible paths return
 //! `SecureMemoryError`, internal invariants use `debug_assert!`.
@@ -14,13 +16,15 @@ use crate::rules::walk_slices;
 /// See module docs.
 pub struct PanicPolicy;
 
-/// Crates holding the persistence-critical state machines.
+/// Crates holding the persistence-critical state machines, and the
+/// serving path in front of them.
 const SCOPES: &[&str] = &[
     "crates/core/",
     "crates/mem/",
     "crates/meta/",
     "crates/kv/",
     "crates/recov/",
+    "crates/workloads/src/service.rs",
 ];
 
 impl Rule for PanicPolicy {
@@ -33,7 +37,7 @@ impl Rule for PanicPolicy {
     }
 
     fn description(&self) -> &'static str {
-        "unwrap/expect/panic! in non-test code of core/mem/meta aborts the engine mid-operation"
+        "unwrap/expect/panic! in non-test code of core/mem/meta/kv/recov or the serving path aborts the engine mid-operation"
     }
 
     fn check(&self, file: &FileAnalysis, out: &mut Vec<Finding>) {

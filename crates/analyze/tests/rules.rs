@@ -89,6 +89,22 @@ fn panic_policy_fires() {
 }
 
 #[test]
+fn panic_policy_covers_the_serving_path() {
+    let hits = rule_hits(
+        "crates/workloads/src/service.rs",
+        "panic_policy_fires.rs",
+        "panic-policy",
+    );
+    assert_eq!(hits.len(), 3, "{hits:?}");
+    // The rest of the workloads crate (generators, drivers) may unwrap.
+    let f = analyze_source(
+        "crates/workloads/src/zipf.rs",
+        &fixture("panic_policy_fires.rs"),
+    );
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
 fn panic_policy_respects_suppression() {
     let f = analyze_source(
         "crates/core/src/bad.rs",

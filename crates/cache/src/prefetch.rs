@@ -21,7 +21,7 @@
 //! [`Cache::probe`]: crate::Cache::probe
 
 use triad_sim::stats::{Scope, StatRegister};
-use triad_sim::BlockAddr;
+use triad_sim::{BlockAddr, BlockMap};
 
 /// Which metadata structure a prefetch request targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -32,6 +32,17 @@ pub enum PrefetchClass {
     Mac,
     /// An intermediate BMT node (Merkle-tree-cache resident).
     Node,
+}
+
+impl PrefetchClass {
+    /// The class's bit in a per-line class mask.
+    fn bit(self) -> u8 {
+        match self {
+            PrefetchClass::Counter => 1,
+            PrefetchClass::Mac => 2,
+            PrefetchClass::Node => 4,
+        }
+    }
 }
 
 /// One planned metadata line: its class, address, and whether the
@@ -95,9 +106,17 @@ impl StatRegister for PrefetchStats {
 }
 
 /// Plans metadata prefetches for queued write batches.
+///
+/// The planner owns the plan it returns and rebuilds it in place, so
+/// planning a batch allocates nothing once its buffers have grown.
 #[derive(Debug, Default)]
 pub struct BatchPrefetcher {
     stats: PrefetchStats,
+    /// The latest plan.
+    plan: PrefetchPlan,
+    /// Classes already planned per line address, one
+    /// [`PrefetchClass::bit`] each. Empty between calls.
+    seen: BlockMap<u8>,
 }
 
 impl BatchPrefetcher {
@@ -111,7 +130,8 @@ impl BatchPrefetcher {
         &self.stats
     }
 
-    /// Builds the plan for one queued batch.
+    /// Builds the plan for one queued batch, replacing the previous
+    /// plan.
     ///
     /// `requests` lists every metadata line the batch's members will
     /// touch, in program order and *with* duplicates; `probe` answers
@@ -125,19 +145,25 @@ impl BatchPrefetcher {
         &mut self,
         requests: &[(PrefetchClass, BlockAddr)],
         probe: impl Fn(PrefetchClass, BlockAddr) -> bool,
-    ) -> PrefetchPlan {
-        let mut plan = PrefetchPlan::default();
-        let mut seen = std::collections::BTreeSet::new();
+    ) -> &PrefetchPlan {
+        let plan = &mut self.plan;
+        plan.lines.clear();
+        plan.dedup_saved = 0;
         for &(class, addr) in requests {
-            if !seen.insert((class, addr)) {
+            let mask = self.seen.get_or_insert_with(addr.0, || 0);
+            if *mask & class.bit() != 0 {
                 plan.dedup_saved += 1;
                 continue;
             }
+            *mask |= class.bit();
             plan.lines.push(PlannedLine {
                 class,
                 addr,
                 resident: probe(class, addr),
             });
+        }
+        for line in &plan.lines {
+            self.seen.remove(line.addr.0);
         }
         self.stats.batches += 1;
         self.stats.lines_planned += plan.lines.len() as u64;
@@ -184,6 +210,22 @@ mod tests {
         let plan = p.plan(&reqs, |_, _| false);
         assert_eq!(plan.lines.len(), 2);
         assert_eq!(plan.dedup_saved, 0);
+    }
+
+    #[test]
+    fn each_plan_replaces_the_last() {
+        let mut p = BatchPrefetcher::new();
+        let first = [
+            (PrefetchClass::Counter, BlockAddr(1)),
+            (PrefetchClass::Mac, BlockAddr(1)),
+        ];
+        assert_eq!(p.plan(&first, |_, _| false).lines.len(), 2);
+        // Nothing of the first plan leaks into the second.
+        let plan = p.plan(&first[..1], |_, _| true);
+        assert_eq!(plan.lines.len(), 1);
+        assert_eq!(plan.dedup_saved, 0);
+        assert_eq!(plan.predicted_hits(), 1);
+        assert_eq!(p.stats().lines_planned, 3);
     }
 
     #[test]

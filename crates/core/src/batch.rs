@@ -4,50 +4,60 @@
 //! block writes whose durability is requested *together*. Compared to
 //! calling [`SecureMemory::persist_block`] once per block, the batched
 //! path ([`SecureMemory::persist_batch`]) exploits knowing the whole
-//! set up front three ways:
+//! set up front two ways:
 //!
-//! 1. **Batched crypto** — the one-time pads of every member are
-//!    precomputed in a single pass through the shared AES key schedule
-//!    ([`triad_crypto::pad_batch`]), by simulating the counter
-//!    increments the members will perform.
-//! 2. **Coalesced BMT commit** — every member's atomic update set
+//! 1. **Coalesced BMT commit** — every member's atomic update set
 //!    (ciphertext, counter, MAC, persisted tree nodes) merges
 //!    last-wins into one pending staging buffer; ancestors shared by
 //!    multiple dirty leaves are written to NVM once per batch, and the
 //!    §3.3.5 register protocol (stage → READY_BIT → WPQ → commit) is
 //!    charged once instead of once per member. `commit_batch` is the
 //!    only implementation of that protocol: a write-back outside an
-//!    open batch commits as a batch of one.
-//! 3. **Prefetch planning** — the counter blocks, MAC blocks and
+//!    open batch commits as a batch of one. Shared ancestors are also
+//!    *hashed* once: a member whose whole path is on chip defers its
+//!    path hashes, and one settle computes each dirty node's hash once
+//!    (see below).
+//! 2. **Prefetch planning** — the counter blocks, MAC blocks and
 //!    coalesced tree-path nodes the batch will touch are planned
 //!    through [`triad_cache::BatchPrefetcher`] before the first member
 //!    executes, so their fetches can overlap (cf. trie prefetching for
 //!    queued transaction blocks).
 //!
+//! The open batch, its staging buffer and the planning buffers are
+//! reused from batch to batch, so a steady-state batch allocates
+//! nothing.
+//!
 //! ## Crash safety
 //!
 //! The merged writes are **staged in place** in the persistent
 //! registers: every stage, refresh and root advance updates the
-//! registers' [`StagedUpdate`] directly, so at any point mid-batch the
-//! registers hold the full replayable prefix (all fully processed
-//! members, merged). A crash between members therefore recovers
+//! registers' [`StagedUpdate`](crate::StagedUpdate) directly, so at
+//! any point mid-batch the registers hold the full replayable prefix
+//! (all fully processed members, merged). A crash between members therefore recovers
 //! exactly like the scalar walk — processed members durable, the rest
 //! lost — and each member consumes one persist-boundary durability
 //! point, keeping armed-crash drivers scheme-agnostic.
+//!
+//! **The settle rule.** A deferred hash leaves stale slots in the
+//! resident path nodes, the root register and the staged node copies
+//! until the next settle. The engine settles before anything can
+//! observe those values: at `commit_batch`, at `crash`, before an
+//! eager walk, before `bump_parent_slot`, before a counter or node
+//! fetch-and-verify, and before a counter-cache or MT-cache victim that
+//! is an unhashed leaf's counter or path node leaves the on-chip map.
+//! So the registers a crash leaves behind, and every byte that reaches
+//! NVM, are those of the eager walk.
 
 use triad_cache::PrefetchClass;
-use triad_crypto::counter::AnyCounterBlock;
-use triad_crypto::ctr::{pad_batch, Iv};
 use triad_mem::store::Block;
-use triad_meta::bmt::coalesce_dirty_paths;
 use triad_meta::layout::RegionKind;
 use triad_sim::events::emit;
 use triad_sim::time::Time;
 use triad_sim::{BlockAddr, BlockMap};
 
-use crate::engine::{EngineState, EvictItem, Result, SecureMemory};
+use crate::engine::{EngineState, Result, SecureMemory};
 use crate::error::SecureMemoryError;
-use crate::registers::{PersistentRegisters, StagedUpdate, StagedWrite};
+use crate::registers::{PersistentRegisters, StagedWrite};
 
 /// A program-ordered set of full-block writes to persist together.
 ///
@@ -113,64 +123,51 @@ pub(crate) enum WriteClass {
     Node,
 }
 
-/// The open batch's bookkeeping beside its staged update: the class
-/// and address index of each merged write, and the precomputed pads.
-/// The merged writes and the pending persistent root live in the
-/// persistent registers' [`StagedUpdate`] (see the module docs).
-#[derive(Debug)]
+/// The batch's bookkeeping beside its staged update: whether it is
+/// open, and the class and address index of each merged write. The
+/// merged writes and the pending persistent root live in the
+/// persistent registers' [`StagedUpdate`](crate::StagedUpdate) (see
+/// the module docs). The engine keeps one `PendingBatch` for its
+/// lifetime and reuses its buffers from batch to batch.
+#[derive(Debug, Default)]
 pub(crate) struct PendingBatch {
+    /// Whether a batch is open.
+    open: bool,
     /// Class of each merged write, in first-staging order: entry `i`
     /// classes the registers' staged write `i`. A re-staged address
     /// keeps its position and class and takes the newest bytes.
     classes: Vec<WriteClass>,
-    /// addr → position in `classes` and in the staged writes.
+    /// addr → position in `classes` and in the staged writes. Empty
+    /// while the batch is closed.
     index: BlockMap<usize>,
-    /// Precomputed one-time pads.
-    pads: BatchPads,
     /// Writes a scalar walk would have performed (before merging).
-    pub(crate) naive_writes: u64,
-}
-
-/// An open batch's precomputed one-time pads, in member order.
-#[derive(Debug, Default)]
-pub(crate) struct BatchPads {
-    /// `(data block, major, minor)` and its pad.
-    entries: Vec<((u64, u64, u8), Block)>,
-    /// Data block → position of its first entry.
-    first: BlockMap<usize>,
-}
-
-impl BatchPads {
-    /// The pad for `(data block, major, minor)`, if precomputed. A block
-    /// written twice in one batch has a later entry per write.
-    fn get(&self, key: (u64, u64, u8)) -> Option<Block> {
-        let start = *self.first.get(key.0)?;
-        self.entries[start..]
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, pad)| *pad)
-    }
-}
-
-impl FromIterator<((u64, u64, u8), Block)> for BatchPads {
-    fn from_iter<I: IntoIterator<Item = ((u64, u64, u8), Block)>>(iter: I) -> Self {
-        let mut pads = BatchPads::default();
-        for (key, pad) in iter {
-            pads.first.get_or_insert_with(key.0, || pads.entries.len());
-            pads.entries.push((key, pad));
-        }
-        pads
-    }
+    naive_writes: u64,
 }
 
 impl PendingBatch {
-    pub(crate) fn new(pads: BatchPads) -> Self {
-        PendingBatch {
-            classes: Vec::new(),
-            index: BlockMap::new(),
-            pads,
-            naive_writes: 0,
+    /// Whether a batch is open.
+    pub(crate) fn is_open(&self) -> bool {
+        self.open
+    }
+
+    /// Opens an empty batch.
+    pub(crate) fn open(&mut self) {
+        self.open = true;
+        self.classes.clear();
+        self.naive_writes = 0;
+    }
+
+    /// Closes the batch, keeping its buffers. `regs` must still hold
+    /// the batch's staged writes, whose addresses key the index.
+    pub(crate) fn close(&mut self, regs: &PersistentRegisters) {
+        if !self.classes.is_empty() {
+            for w in regs.staged_writes() {
+                self.index.remove(w.addr.0);
+            }
         }
+        debug_assert!(self.index.is_empty(), "index outlived its staged writes");
+        self.classes.clear();
+        self.open = false;
     }
 
     /// Stages one write into `regs`, merging last-wins on address. The
@@ -184,11 +181,12 @@ impl PendingBatch {
         addr: BlockAddr,
         data: Block,
     ) {
+        self.naive_writes += 1;
         if self.refresh(regs, addr, data) {
             return;
         }
         if self.classes.is_empty() {
-            regs.stage(StagedUpdate::default());
+            regs.restage();
         }
         self.index.insert(addr.0, self.classes.len());
         self.classes.push(class);
@@ -203,7 +201,8 @@ impl PendingBatch {
 
     /// Refreshes the bytes of an already-pending write (used when an
     /// eviction writes a newer value of the block straight to NVM, so
-    /// the commit/recovery replay cannot clobber it with stale bytes).
+    /// the commit/recovery replay cannot clobber it with stale bytes,
+    /// and when a settle fills in a staged node's deferred hashes).
     /// Returns whether `addr` was pending.
     fn refresh(&mut self, regs: &mut PersistentRegisters, addr: BlockAddr, data: Block) -> bool {
         match self.index.get(addr.0) {
@@ -217,11 +216,10 @@ impl PendingBatch {
 }
 
 impl SecureMemory {
-    /// Persists every write of `batch` in order, sharing one batched
-    /// AES pass, one prefetch plan and one coalesced register/WPQ
-    /// commit across the members (the batched write path; see the
-    /// module docs). Returns the time the whole batch is inside the
-    /// persistence domain.
+    /// Persists every write of `batch` in order, sharing one prefetch
+    /// plan and one coalesced register/WPQ commit across the members
+    /// (the batched write path; see the module docs). Returns the time
+    /// the whole batch is inside the persistence domain.
     ///
     /// When an epoch is open the members go through
     /// [`SecureMemory::persist_block`] one by one and defer to the
@@ -294,14 +292,13 @@ impl SecureMemory {
     // ----- crate-internal batch plumbing ------------------------------------
 
     /// Runs `members` through one open batch: the one loop behind
-    /// [`SecureMemory::persist_batch`] and the epoch boundary. It
-    /// precomputes the members' pads, plans their prefetches and
-    /// counts the batch; then, per member, it takes one
-    /// persist-boundary crash point and calls `write_back` with the
-    /// latest completion time so far (`start` before the first). A
-    /// member error commits the staged prefix, so the on-chip roots
-    /// and the NVM image agree before the error surfaces. Finally the
-    /// batch commits and the eviction queue drains.
+    /// [`SecureMemory::persist_batch`] and the epoch boundary. It plans
+    /// the members' prefetches and counts the batch; then, per member,
+    /// it takes one persist-boundary crash point and calls `write_back`
+    /// with the latest completion time so far (`start` before the
+    /// first). A member error commits the staged prefix, so the on-chip
+    /// roots and the NVM image agree before the error surfaces. Finally
+    /// the batch commits and the eviction queue drains.
     pub(crate) fn run_batch(
         &mut self,
         members: &[(BlockAddr, Block)],
@@ -309,7 +306,6 @@ impl SecureMemory {
         start: Time,
         mut write_back: impl FnMut(&mut Self, BlockAddr, Block, Time) -> Result<Time>,
     ) -> Result<Time> {
-        let pads = self.precompute_batch_pads(members);
         let planned = self.plan_batch_prefetch(members);
         emit(
             &self.events,
@@ -322,13 +318,14 @@ impl SecureMemory {
         );
         self.stats.batches += 1;
         self.stats.batch_members += members.len() as u64;
-        self.batch = Some(PendingBatch::new(pads));
+        self.batch.open();
         let mut t = start;
         for &(block, data) in members {
             if self.persist_boundary_crash(now) {
-                // The crash cleared the open batch; the staged prefix
-                // (every fully processed member, merged) replays at
-                // recovery — the scalar walk's per-member durability.
+                // The crash settled and closed the open batch; the
+                // staged prefix (every fully processed member, merged)
+                // replays at recovery — the scalar walk's per-member
+                // durability.
                 return Err(SecureMemoryError::NeedsRecovery);
             }
             match write_back(self, block, data, t) {
@@ -348,92 +345,99 @@ impl SecureMemory {
     /// data fetches must prefer these over the (stale-until-commit)
     /// NVM copy.
     pub(crate) fn batch_forward(&self, addr: BlockAddr) -> Option<Block> {
-        self.batch.as_ref().and_then(|p| p.lookup(&self.regs, addr))
-    }
-
-    /// Precomputed pad for `(block, major, minor)` in the open batch.
-    pub(crate) fn batch_pad(&self, block: BlockAddr, major: u64, minor: u8) -> Option<Block> {
-        self.batch
-            .as_ref()
-            .and_then(|p| p.pads.get((block.0, major, minor)))
+        if !self.batch.is_open() {
+            return None;
+        }
+        self.batch.lookup(&self.regs, addr)
     }
 
     /// Merges one member's atomic update set into the open batch, in
-    /// place in the persistent registers. `writes` is
-    /// positionally classed exactly as the scalar protocol builds it:
-    /// data, then (optionally) the counter, then the MAC, then nodes.
+    /// place in the persistent registers. `head` is positionally
+    /// classed exactly as the scalar protocol builds it: data, then
+    /// (optionally) the counter, then the MAC; `nodes` are the
+    /// persisted tree nodes. `new_root` is `None` when the member's
+    /// path hashes are deferred: the settle stages the root then.
     pub(crate) fn stage_into_batch(
         &mut self,
         kind: RegionKind,
-        writes: &[StagedWrite],
+        head: &[StagedWrite],
+        nodes: &[StagedWrite],
         persist_counter: bool,
-        new_root: triad_meta::NodeBuf,
+        new_root: Option<triad_meta::NodeBuf>,
     ) {
-        if let Some(pending) = &mut self.batch {
-            pending.naive_writes += writes.len() as u64;
-            for (i, w) in writes.iter().enumerate() {
-                let class = match (i, persist_counter) {
-                    (0, _) => WriteClass::Data,
-                    (1, true) => WriteClass::Counter,
-                    (1, false) | (2, true) => WriteClass::Mac,
-                    _ => WriteClass::Node,
-                };
-                pending.stage(&mut self.regs, class, w.addr, w.data);
-            }
-            if kind == RegionKind::Persistent {
-                self.regs.staged_mut().new_persistent_root = Some(new_root);
-            }
+        if !self.batch.is_open() {
+            return;
+        }
+        for (i, w) in head.iter().enumerate() {
+            let class = match (i, persist_counter) {
+                (0, _) => WriteClass::Data,
+                (1, true) => WriteClass::Counter,
+                _ => WriteClass::Mac,
+            };
+            self.batch.stage(&mut self.regs, class, w.addr, w.data);
+        }
+        for w in nodes {
+            self.batch
+                .stage(&mut self.regs, WriteClass::Node, w.addr, w.data);
+        }
+        if let (RegionKind::Persistent, Some(root)) = (kind, new_root) {
+            self.regs.staged_mut().new_persistent_root = Some(root);
         }
     }
 
     /// Stages a single write into the open batch (re-encryption path).
     pub(crate) fn batch_stage_raw(&mut self, class: WriteClass, addr: BlockAddr, data: Block) {
-        if let Some(pending) = &mut self.batch {
-            pending.naive_writes += 1;
-            pending.stage(&mut self.regs, class, addr, data);
+        if self.batch.is_open() {
+            self.batch.stage(&mut self.regs, class, addr, data);
         }
     }
 
     /// Refreshes a pending write's bytes after a direct NVM write of
-    /// the same block (eviction mid-batch), so neither the commit nor a
-    /// recovery replay can roll the block back to stale bytes.
+    /// the same block (eviction mid-batch) or a settle, so neither the
+    /// commit nor a recovery replay can roll the block back to stale
+    /// bytes.
     pub(crate) fn batch_refresh(&mut self, addr: BlockAddr, data: Block) {
-        if let Some(pending) = &mut self.batch {
-            pending.refresh(&mut self.regs, addr, data);
+        if self.batch.is_open() {
+            self.batch.refresh(&mut self.regs, addr, data);
         }
     }
 
     /// Commits the open batch — the one implementation of the §3.3.5
-    /// commit, for batches of one and of many alike: charges the
-    /// register protocol once, drains the merged writes through the
-    /// WPQ (honouring the armed WPQ-crash hook), counts per-class
-    /// persist writes, and clears the READY_BIT. A no-op when no batch
-    /// is open or nothing was staged.
+    /// commit, for batches of one and of many alike: settles the
+    /// deferred path hashes, charges the register protocol once,
+    /// drains the merged writes through the WPQ (honouring the armed
+    /// WPQ-crash hook), counts per-class persist writes, and clears the
+    /// READY_BIT. A no-op when no batch is open or nothing was staged.
     pub(crate) fn commit_batch(&mut self, now: Time) -> Result<Time> {
-        let Some(pending) = self.batch.take() else {
-            return Ok(now);
-        };
-        let classes = pending.classes;
-        if classes.is_empty() {
+        if !self.batch.is_open() {
             return Ok(now);
         }
-        let merged = pending.naive_writes - classes.len() as u64;
+        if let Err(e) = self.settle() {
+            self.batch.close(&self.regs);
+            return Err(e);
+        }
+        let staged = self.batch.classes.len();
+        if staged == 0 {
+            self.batch.close(&self.regs);
+            return Ok(now);
+        }
+        let merged = self.batch.naive_writes - staged as u64;
         let mut t = now
             + self
                 .config
                 .security
                 .persistent_register_latency
-                .saturating_mul(classes.len() as u64 + 1);
+                .saturating_mul(staged as u64 + 1);
         emit(
             &self.events,
             now,
             "atomic_persist",
             &[
-                ("staged_writes", classes.len().into()),
+                ("staged_writes", staged.into()),
                 ("merged_away", merged.into()),
             ],
         );
-        for (i, class) in classes.iter().enumerate() {
+        for i in 0..staged {
             let w = self.regs.staged_writes()[i];
             if let Some(left) = self.crash_after_wpq_writes {
                 if left == 0 {
@@ -452,7 +456,7 @@ impl SecureMemory {
                 self.crash_after_wpq_writes = Some(left - 1);
             }
             t = self.mc.write(w.addr, w.data, t);
-            match class {
+            match self.batch.classes[i] {
                 WriteClass::Data => {}
                 WriteClass::Counter => self.stats.counter_writes_persist += 1,
                 WriteClass::Mac => self.stats.mac_writes_persist += 1,
@@ -461,100 +465,64 @@ impl SecureMemory {
         }
         self.stats.atomic_persists += 1;
         self.stats.batch_writes_merged += merged;
+        self.batch.close(&self.regs);
         self.regs.commit();
         Ok(t)
     }
 
-    /// Simulates the counter increments the batch members will perform
-    /// and precomputes their one-time pads in one batched AES pass.
-    ///
-    /// The simulation peeks counters exactly where the write path will
-    /// find them (resident map, pending eviction, NVM image) *without*
-    /// touching any engine state; a misprediction merely misses the pad
-    /// map and the member falls back to the scalar AES path.
-    pub(crate) fn precompute_batch_pads(&self, members: &[(BlockAddr, Block)]) -> BatchPads {
-        let split = self.split_counters();
-        let mut sim: BlockMap<AnyCounterBlock> = BlockMap::new();
-        let mut keys: Vec<(u64, u64, u8)> = Vec::new();
-        let mut ivs: Vec<Iv> = Vec::new();
-        for (block, _) in members {
-            let Some(kind) = self.map.data_region_of(*block) else {
-                continue;
-            };
-            if kind != RegionKind::Persistent {
-                continue;
-            }
-            let layout = self.layout(kind);
-            let data_index = layout.data_index(*block);
-            let coverage = layout.counter_coverage;
-            let leaf = data_index / coverage;
-            let slot = (data_index % coverage) as usize;
-            let addr = layout.counter_start + leaf;
-            let cb = sim.get_or_insert_with(addr.0, || {
-                if let Some(cb) = self.counters.get(addr.0) {
-                    *cb
-                } else if let Some(EvictItem::Counter { value, .. }) = self
-                    .evict_queue
-                    .iter()
-                    .find(|e| matches!(e, EvictItem::Counter { addr: a, .. } if *a == addr))
-                {
-                    *value
-                } else {
-                    AnyCounterBlock::from_bytes(split, &self.mc.store().read(addr))
-                }
-            });
-            // Overflow resets mirror the real increment, so the
-            // simulation stays in lock-step across re-encryptions.
-            let _ = cb.increment(slot);
-            let pair = cb.pair(slot);
-            keys.push((block.0, pair.major, pair.minor));
-            ivs.push(self.data_iv(kind, *block, pair.major, pair.minor));
-        }
-        let pads = pad_batch(self.aes_for(RegionKind::Persistent), &ivs);
-        keys.into_iter().zip(pads).collect()
-    }
-
     /// Plans the metadata prefetches of a queued batch: per-member
     /// counter and MAC lines plus the coalesced BMT path nodes, probed
-    /// non-perturbingly against on-chip state. Returns the number of
-    /// distinct lines planned.
+    /// non-perturbingly against on-chip state. Paths coalesce level by
+    /// level in one reused buffer, sorted and deduplicated (the
+    /// engine-side form of [`triad_meta::bmt::coalesce_dirty_paths`]).
+    /// Returns the number of distinct lines planned.
     pub(crate) fn plan_batch_prefetch(&mut self, members: &[(BlockAddr, Block)]) -> u64 {
-        let kind = RegionKind::Persistent;
-        let layout = self.layout(kind);
-        if layout.is_empty() {
-            return 0;
-        }
-        let mut reqs: Vec<(PrefetchClass, BlockAddr)> = Vec::new();
-        let mut leaves: Vec<u64> = Vec::new();
-        for (block, _) in members {
-            if self.map.data_region_of(*block) != Some(kind) {
-                continue;
-            }
-            let data_index = layout.data_index(*block);
-            let leaf = data_index / layout.counter_coverage;
-            leaves.push(leaf);
-            reqs.push((PrefetchClass::Counter, layout.counter_start + leaf));
-            reqs.push((PrefetchClass::Mac, layout.mac_start + data_index / 8));
-        }
-        let coalesced = coalesce_dirty_paths(&layout.geometry, &leaves);
-        for level in 1..layout.geometry.root_level() {
-            for index in coalesced.nodes_at_level(level) {
-                if let Some(addr) = layout.bmt_node_addr(level, *index) {
-                    reqs.push((PrefetchClass::Node, addr));
-                }
-            }
-        }
         let SecureMemory {
+            map,
             prefetcher,
+            prefetch_reqs: reqs,
+            path_nodes: nodes_at,
             counters,
             nodes,
             macs,
             ctr_cache,
             mt_cache,
             evict_queue,
+            events,
+            clock,
             ..
         } = self;
-        let plan = prefetcher.plan(&reqs, |class, addr| {
+        let kind = RegionKind::Persistent;
+        let layout = map.region(kind);
+        if layout.is_empty() {
+            return 0;
+        }
+        reqs.clear();
+        nodes_at.clear();
+        for (block, _) in members {
+            if map.data_region_of(*block) != Some(kind) {
+                continue;
+            }
+            let data_index = layout.data_index(*block);
+            let leaf = data_index / layout.counter_coverage;
+            nodes_at.push(leaf);
+            reqs.push((PrefetchClass::Counter, layout.counter_start + leaf));
+            reqs.push((PrefetchClass::Mac, layout.mac_start + data_index / 8));
+        }
+        let geom = &layout.geometry;
+        for level in 1..geom.root_level() {
+            for index in nodes_at.iter_mut() {
+                *index = geom.parent(level - 1, *index).1;
+            }
+            nodes_at.sort_unstable();
+            nodes_at.dedup();
+            for &index in nodes_at.iter() {
+                if let Some(addr) = layout.bmt_node_addr(level, index) {
+                    reqs.push((PrefetchClass::Node, addr));
+                }
+            }
+        }
+        let plan = prefetcher.plan(reqs, |class, addr| {
             let queued = evict_queue.iter().any(|e| e.addr() == addr);
             queued
                 || match class {
@@ -566,8 +534,8 @@ impl SecureMemory {
                 }
         });
         emit(
-            &self.events,
-            self.clock,
+            events,
+            *clock,
             "batch_prefetch",
             &[
                 ("lines", plan.lines.len().into()),

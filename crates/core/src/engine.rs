@@ -31,7 +31,7 @@
 
 use std::collections::BTreeSet;
 
-use triad_cache::{BatchPrefetcher, Cache, Replacement};
+use triad_cache::{BatchPrefetcher, Cache, PrefetchClass, Replacement};
 use triad_crypto::aes::Aes128;
 use triad_crypto::counter::{AnyCounterBlock, IncrementOutcome};
 use triad_crypto::ctr::{decrypt_block, encrypt_block, Iv};
@@ -46,7 +46,7 @@ use triad_sim::stats::{Histogram, Scope, StatRegister, StatRegistry, StatSet};
 use triad_sim::time::{Duration, Time};
 use triad_sim::{BlockAddr, BlockMap, PhysAddr, BLOCK_BYTES};
 
-use crate::batch::{BatchPads, PendingBatch};
+use crate::batch::PendingBatch;
 use crate::error::{CrashHookKind, IntegrityKind, SecureMemoryError};
 use crate::recovery::{CorruptRange, RecoveryReport};
 use crate::registers::{PersistentRegisters, StagedWrite};
@@ -430,13 +430,26 @@ pub struct SecureMemory {
     /// (`None` = epoch persistency inactive; see
     /// [`SecureMemory::begin_epoch`]).
     pub(crate) epoch: Option<Vec<BlockAddr>>,
-    /// The open write batch: atomic write-backs stage into its pending
-    /// set, and one `commit_batch` runs the register/WPQ protocol for
-    /// all of them. A write-back outside a batch opens a batch of one
-    /// (see [`crate::batch`]).
-    pub(crate) batch: Option<PendingBatch>,
+    /// The write batch: while open, atomic write-backs stage into its
+    /// pending set, and one `commit_batch` runs the register/WPQ
+    /// protocol for all of them. A write-back outside a batch opens a
+    /// batch of one (see [`crate::batch`]).
+    pub(crate) batch: PendingBatch,
     /// Prefetch planner fed by queued write batches.
     pub(crate) prefetcher: BatchPrefetcher,
+    /// Leaves whose path hashes a lazy walk deferred, with repeats, in
+    /// walk order; emptied by [`SecureMemory::settle`].
+    pub(crate) unhashed: Vec<(RegionKind, u64)>,
+    /// Reused buffer: the persisted tree nodes of one write-back's
+    /// atomic update set.
+    update_nodes: Vec<StagedWrite>,
+    /// Reused buffer: one tree level's node indices (settle, prefetch
+    /// planning).
+    pub(crate) path_nodes: Vec<u64>,
+    /// Reused buffer: the hashes of `path_nodes` (settle).
+    path_hashes: Vec<Mac64>,
+    /// Reused buffer: a queued batch's prefetch requests.
+    pub(crate) prefetch_reqs: Vec<(PrefetchClass, BlockAddr)>,
     /// Test hook: crash after this many further WPQ copies inside
     /// atomic persists.
     pub(crate) crash_after_wpq_writes: Option<u64>,
@@ -480,8 +493,13 @@ impl SecureMemory {
             clock: Time::ZERO,
             evict_queue: Vec::new(),
             epoch: None,
-            batch: None,
+            batch: PendingBatch::default(),
             prefetcher: BatchPrefetcher::new(),
+            unhashed: Vec::new(),
+            update_nodes: Vec::new(),
+            path_nodes: Vec::new(),
+            path_hashes: Vec::new(),
+            prefetch_reqs: Vec::new(),
             crash_after_wpq_writes: None,
             crash_after_persists: None,
             config,
@@ -767,9 +785,14 @@ impl SecureMemory {
         out.hit
     }
 
-    fn ctr_touch(&mut self, block: BlockAddr, write: bool) -> bool {
+    /// Touches a counter-cache line. A victim that is an unhashed
+    /// leaf's counter settles first, while its value is still on chip.
+    fn ctr_touch(&mut self, block: BlockAddr, write: bool) -> Result<bool> {
         let out = self.ctr_cache.access(block, write);
         if let Some(v) = out.victim {
+            if self.counter_unhashed(v.addr) {
+                self.settle()?;
+            }
             if let Some(value) = self.counters.remove(v.addr.0) {
                 self.evict_queue.push(EvictItem::Counter {
                     addr: v.addr,
@@ -778,12 +801,18 @@ impl SecureMemory {
                 });
             }
         }
-        out.hit
+        Ok(out.hit)
     }
 
-    fn mt_touch(&mut self, block: BlockAddr, write: bool) -> bool {
+    /// Touches an MT-cache line (BMT node or MAC block). A victim that
+    /// is a path node of an unhashed leaf settles first, while its
+    /// value is still on chip.
+    fn mt_touch(&mut self, block: BlockAddr, write: bool) -> Result<bool> {
         let out = self.mt_cache.access(block, write);
         if let Some(v) = out.victim {
+            if self.node_unhashed(v.addr) {
+                self.settle()?;
+            }
             if let Some(value) = self.nodes.remove(v.addr.0) {
                 self.evict_queue.push(EvictItem::Node {
                     addr: v.addr,
@@ -798,7 +827,38 @@ impl SecureMemory {
                 });
             }
         }
-        out.hit
+        Ok(out.hit)
+    }
+
+    /// Whether counter block `addr` belongs to an unhashed leaf.
+    fn counter_unhashed(&self, addr: BlockAddr) -> bool {
+        if self.unhashed.is_empty() {
+            return false;
+        }
+        let Some(kind) = self.map.region_of(addr.base()) else {
+            return false;
+        };
+        let leaf = addr - self.layout(kind).counter_start;
+        self.unhashed.contains(&(kind, leaf))
+    }
+
+    /// Whether `addr` is a resident BMT node on an unhashed leaf's path.
+    fn node_unhashed(&self, addr: BlockAddr) -> bool {
+        if self.unhashed.is_empty() || !self.nodes.contains_key(addr.0) {
+            return false;
+        }
+        let Some(kind) = self.map.region_of(addr.base()) else {
+            return false;
+        };
+        let layout = self.layout(kind);
+        let BlockRole::BmtNode(level) = layout.role_of(addr) else {
+            return false;
+        };
+        let index = addr - layout.bmt_level_start[level as usize - 1];
+        let span = layout.geometry.arity().pow(u32::from(level));
+        self.unhashed
+            .iter()
+            .any(|&(k, leaf)| k == kind && leaf / span == index)
     }
 
     /// Pulls a still-queued victim back on chip (a fetch racing its own
@@ -907,6 +967,7 @@ impl SecureMemory {
         hash: Mac64,
         now: Time,
     ) -> Result<()> {
+        self.settle()?;
         let geom = &self.layout(kind).geometry;
         let (p_level, p_index) = geom.parent(level, index);
         let slot = geom.child_slot(index);
@@ -929,7 +990,7 @@ impl SecureMemory {
             SecureMemoryError::internal(format!("ensure_node left no resident node at {addr}"))
         })?;
         entry.set_slot(slot, hash);
-        self.mt_touch(addr, true);
+        self.mt_touch(addr, true)?;
         Ok(())
     }
 
@@ -948,29 +1009,24 @@ impl SecureMemory {
         if level == geom_root {
             return Ok((self.root(kind), now));
         }
-        let addr = self
-            .layout(kind)
-            .bmt_node_addr(level, index)
-            .ok_or_else(|| {
-                SecureMemoryError::internal(format!(
-                    "BMT node ({level}, {index}) below root has no in-memory address"
-                ))
-            })?;
+        let addr = self.node_addr(kind, level, index)?;
         if let Some(buf) = self.nodes.get(addr.0) {
             let buf = *buf;
             let lat = self.mt_cache.latency();
-            self.mt_touch(addr, false);
+            self.mt_touch(addr, false)?;
             return Ok((buf, now + lat));
         }
         // A pending write-back holds the newest value.
         if let Some(EvictItem::Node { value, dirty, .. }) = self.reclaim(addr) {
             self.nodes.insert(addr.0, value);
-            self.mt_touch(addr, dirty);
+            self.mt_touch(addr, dirty)?;
             return Ok((value, now + self.mt_cache.latency()));
         }
-        // Fetch from NVM and verify against the parent. A block staged
-        // in an open batch is forwarded from the staging buffer: its
-        // NVM copy is stale until the batch commits.
+        // Fetch from NVM and verify against the parent, whose slots
+        // must hold every deferred hash. A block staged in an open
+        // batch is forwarded from the staging buffer: its NVM copy is
+        // stale until the batch commits.
+        self.settle()?;
         let (bytes, t) = match self.batch_forward(addr) {
             Some(fwd) => (fwd, now),
             None => self.mc.read(addr, now),
@@ -997,7 +1053,7 @@ impl SecureMemory {
         }
         let buf = NodeBuf(bytes);
         self.nodes.insert(addr.0, buf);
-        self.mt_touch(addr, false);
+        self.mt_touch(addr, false)?;
         let done = t.max(tp) + self.config.security.hash_latency;
         self.hists.node_fetch_ns.record(done.since(now).as_ns());
         Ok((buf, done))
@@ -1015,16 +1071,9 @@ impl SecureMemory {
             self.set_root(kind, buf);
             return Ok(());
         }
-        let addr = self
-            .layout(kind)
-            .bmt_node_addr(level, index)
-            .ok_or_else(|| {
-                SecureMemoryError::internal(format!(
-                    "BMT node ({level}, {index}) below root has no in-memory address"
-                ))
-            })?;
+        let addr = self.node_addr(kind, level, index)?;
         self.nodes.insert(addr.0, buf);
-        self.mt_touch(addr, dirty);
+        self.mt_touch(addr, dirty)?;
         Ok(())
     }
 
@@ -1041,14 +1090,17 @@ impl SecureMemory {
         if let Some(cb) = self.counters.get(addr.0) {
             let cb = *cb;
             let lat = self.ctr_cache.latency();
-            self.ctr_touch(addr, false);
+            self.ctr_touch(addr, false)?;
             return Ok((cb, now + lat));
         }
         if let Some(EvictItem::Counter { value, dirty, .. }) = self.reclaim(addr) {
             self.counters.insert(addr.0, value);
-            self.ctr_touch(addr, dirty);
+            self.ctr_touch(addr, dirty)?;
             return Ok((value, now + self.ctr_cache.latency()));
         }
+        // Fetch and verify: the parent's slots must hold every deferred
+        // hash.
+        self.settle()?;
         let (bytes, t) = match self.batch_forward(addr) {
             Some(fwd) => (fwd, now),
             None => self.mc.read(addr, now),
@@ -1081,7 +1133,7 @@ impl SecureMemory {
             });
         };
         self.counters.insert(addr.0, cb);
-        self.ctr_touch(addr, false);
+        self.ctr_touch(addr, false)?;
         let done = t.max(tp) + self.config.security.hash_latency;
         self.hists.counter_fetch_ns.record(done.since(now).as_ns());
         Ok((cb, done))
@@ -1172,12 +1224,12 @@ impl SecureMemory {
         if let Some(buf) = self.macs.get(addr.0) {
             let buf = *buf;
             let lat = self.mt_cache.latency();
-            self.mt_touch(addr, false);
+            self.mt_touch(addr, false)?;
             return Ok((buf, now + lat));
         }
         if let Some(EvictItem::Mac { value, dirty, .. }) = self.reclaim(addr) {
             self.macs.insert(addr.0, value);
-            self.mt_touch(addr, dirty);
+            self.mt_touch(addr, dirty)?;
             return Ok((value, now + self.mt_cache.latency()));
         }
         let (bytes, t) = match self.batch_forward(addr) {
@@ -1187,7 +1239,7 @@ impl SecureMemory {
         self.stats.mac_reads += 1;
         let buf = NodeBuf(bytes);
         self.macs.insert(addr.0, buf);
-        self.mt_touch(addr, false);
+        self.mt_touch(addr, false)?;
         self.hists.mac_fetch_ns.record(t.since(now).as_ns());
         Ok((buf, t))
     }
@@ -1241,28 +1293,17 @@ impl SecureMemory {
         let old_cb = cb;
         let outcome = cb.increment(slot);
         self.counters.insert(counter_addr.0, cb);
-        self.ctr_touch(counter_addr, true);
+        self.ctr_touch(counter_addr, true)?;
 
-        // 2. Encrypt and MAC the block. An open batch may have
-        //    precomputed this pad from the batched AES pass; a miss
-        //    (counter misprediction) falls back to the scalar engine.
+        // 2. Encrypt and MAC the block.
         let pair = cb.pair(slot);
         let iv = self.data_iv(kind, block, pair.major, pair.minor);
-        let ct = match self.batch_pad(block, pair.major, pair.minor) {
-            Some(pad) => {
-                let mut ct = [0u8; BLOCK_BYTES];
-                for (i, byte) in ct.iter_mut().enumerate() {
-                    *byte = plaintext[i] ^ pad[i];
-                }
-                ct
-            }
-            None => encrypt_block(self.aes_for(kind), &iv, &plaintext),
-        };
+        let ct = encrypt_block(self.aes_for(kind), &iv, &plaintext);
         let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
         self.macs.insert(mac_addr.0, mac_buf);
-        self.mt_touch(mac_addr, true);
+        self.mt_touch(mac_addr, true)?;
         t = t.max(t_mac) + self.config.security.hash_latency;
 
         // 3. Minor overflow: the whole page re-encrypts under the new
@@ -1283,7 +1324,6 @@ impl SecureMemory {
 
         // 4. Propagate to the tree and to NVM.
         let counter_bytes = cb.to_bytes();
-        let leaf_h = bmt::leaf_hash(&self.mac_engine, kind, leaf, &counter_bytes);
         self.stats.nvm_data_writes += 1;
 
         // Region awareness is Triad-NVM's contribution: `TriadNvm`
@@ -1296,13 +1336,16 @@ impl SecureMemory {
             && (kind == RegionKind::Persistent || self.scheme == PersistScheme::Strict);
         if atomic {
             // Update the full path to the root in on-chip state and
-            // collect the strictly persisted levels.
+            // collect the strictly persisted levels into the reused
+            // node buffer.
             let persist_levels = self
                 .scheme
                 .persisted_bmt_levels()
                 .min(root_level.saturating_sub(1));
-            let (staged_nodes, new_root, t_path) =
-                self.update_path(kind, leaf, leaf_h, persist_levels, now)?;
+            let mut nodes = std::mem::take(&mut self.update_nodes);
+            nodes.clear();
+            let (new_root, t_path) =
+                self.update_path(kind, leaf, &counter_bytes, persist_levels, now, &mut nodes)?;
             t = t.max(t_path);
             // Osiris relaxation: skip the counter copy unless the
             // interval expired (recovery reconstructs skipped updates
@@ -1321,33 +1364,42 @@ impl SecureMemory {
                     }
                 }
             };
-            let mut writes = vec![StagedWrite {
+            let data_w = StagedWrite {
                 addr: block,
                 data: ct,
-            }];
-            if persist_counter {
-                writes.push(StagedWrite {
-                    addr: counter_addr,
-                    data: counter_bytes,
-                });
-            }
-            writes.push(StagedWrite {
+            };
+            let mac_w = StagedWrite {
                 addr: mac_addr,
                 data: mac_buf.0,
-            });
-            writes.extend(staged_nodes);
+            };
+            let with_counter = [
+                data_w,
+                StagedWrite {
+                    addr: counter_addr,
+                    data: counter_bytes,
+                },
+                mac_w,
+            ];
+            let without_counter = [data_w, mac_w];
+            let head: &[StagedWrite] = if persist_counter {
+                &with_counter
+            } else {
+                &without_counter
+            };
             // §3.3.5 has one implementation, `commit_batch`: the update
             // set merges into the open batch, or into a batch of one
             // that commits before this write-back returns. Staging in
             // place keeps the persistent registers holding the whole
             // replayable prefix, so advancing the root at staging time
             // stays crash-safe.
-            let standalone = self.batch.is_none();
+            let standalone = !self.batch.is_open();
             if standalone {
-                self.batch = Some(PendingBatch::new(BatchPads::default()));
+                self.batch.open();
             }
-            self.stage_into_batch(kind, &writes, persist_counter, new_root);
-            self.set_root(kind, new_root);
+            self.stage_into_batch(kind, head, &nodes, persist_counter, new_root);
+            if let Some(root) = new_root {
+                self.set_root(kind, root);
+            }
             if standalone {
                 t = self.commit_batch(t)?;
             }
@@ -1358,9 +1410,10 @@ impl SecureMemory {
                 self.ctr_cache.flush(counter_addr);
             }
             self.mt_cache.flush(mac_addr);
-            for w in writes.iter().skip(if persist_counter { 3 } else { 2 }) {
+            for w in &nodes {
                 self.mt_cache.flush(w.addr);
             }
+            self.update_nodes = nodes;
         } else {
             // Lazy path: only the ciphertext goes to NVM now; counter,
             // MAC and tree propagate on eviction.
@@ -1390,7 +1443,10 @@ impl SecureMemory {
             layout.mac_start,
         );
         let mut t = now;
-        let mut touched_macs = BTreeSet::new();
+        // The page's MAC lines, as bits above its first line (a page
+        // spans at most `coverage / 8 + 1` lines).
+        let first_mac = mac_start + leaf * coverage / 8;
+        let mut touched_macs = 0u64;
         for s in 0..coverage as usize {
             if s == written_slot {
                 continue;
@@ -1434,15 +1490,21 @@ impl SecureMemory {
             mac_buf.set_slot((data_index % 8) as usize, new_tag);
             let mac_addr = mac_start + data_index / 8;
             self.macs.insert(mac_addr.0, mac_buf);
-            self.mt_touch(mac_addr, true);
-            touched_macs.insert(mac_addr.0);
+            self.mt_touch(mac_addr, true)?;
+            let line = mac_addr - first_mac;
+            if line >= u64::from(u64::BITS) {
+                return Err(SecureMemoryError::internal(format!(
+                    "page of leaf {leaf} spans MAC line {line}, beyond its bit mask"
+                )));
+            }
+            touched_macs |= 1 << line;
             // Under an open batch the re-encrypted ciphertext of an
             // atomically-persisted region must stage (a direct write
             // would be clobbered by the batch commit or its recovery
             // replay); lazy-path regions keep the direct write.
             let atomic_here = self.scheme.persists_metadata()
                 && (kind == RegionKind::Persistent || self.scheme == PersistScheme::Strict);
-            if self.batch.is_some() && atomic_here {
+            if self.batch.is_open() && atomic_here {
                 self.batch_stage_raw(crate::batch::WriteClass::Data, block, ct_new);
             } else {
                 t = self.mc.write(block, ct_new, t);
@@ -1453,40 +1515,75 @@ impl SecureMemory {
             // In atomic schemes the whole page's tags must reach the
             // persistence domain with the re-encrypted data, or a crash
             // would leave new ciphertext under stale NVM tags.
-            for mac_addr in touched_macs {
-                if let Some(buf) = self.macs.get(mac_addr) {
+            while touched_macs != 0 {
+                let mac_addr = first_mac + u64::from(touched_macs.trailing_zeros());
+                touched_macs &= touched_macs - 1;
+                if let Some(buf) = self.macs.get(mac_addr.0) {
                     let data = buf.0;
-                    if self.batch.is_some() {
-                        self.batch_stage_raw(
-                            crate::batch::WriteClass::Mac,
-                            BlockAddr(mac_addr),
-                            data,
-                        );
+                    if self.batch.is_open() {
+                        self.batch_stage_raw(crate::batch::WriteClass::Mac, mac_addr, data);
                     } else {
-                        t = self.mc.write(BlockAddr(mac_addr), data, t);
+                        t = self.mc.write(mac_addr, data, t);
                         self.stats.mac_writes_persist += 1;
                     }
-                    self.mt_cache.flush(BlockAddr(mac_addr));
+                    self.mt_cache.flush(mac_addr);
                 }
             }
         }
         Ok(t)
     }
 
-    /// Updates the tree path above `leaf` on chip, returning the node
-    /// writes to persist (levels `1..=persist_levels`) and the new root.
+    /// Updates the tree path above `leaf` (whose counter block now
+    /// holds `counter_bytes`) on chip, appending the node writes to
+    /// persist (levels `1..=persist_levels`) to `staged`. Returns the
+    /// new root, or `None` when the walk was lazy, and the completion
+    /// time.
+    ///
+    /// When the counter and every path node below the root are on
+    /// chip, the walk is **lazy**: every touch hits, so nothing is
+    /// fetched or evicted, and the walk makes the eager walk's cache
+    /// touches with the same dirty flags and its timing arithmetic, but
+    /// defers the slot updates and hashes. It stages the persisted
+    /// nodes as they stand and records `leaf` as unhashed; the next
+    /// [`SecureMemory::settle`] computes the hashes and fixes the
+    /// staged copies and the root. Otherwise the walk settles and runs
+    /// **eagerly**, fetching and hashing level by level.
     fn update_path(
         &mut self,
         kind: RegionKind,
         leaf: u64,
-        leaf_hash: Mac64,
+        counter_bytes: &Block,
         persist_levels: u8,
         now: Time,
-    ) -> Result<(Vec<StagedWrite>, NodeBuf, Time)> {
+        staged: &mut Vec<StagedWrite>,
+    ) -> Result<(Option<NodeBuf>, Time)> {
         let geom = &self.layout(kind).geometry;
         let (root_level, arity) = (geom.root_level(), geom.arity());
-        let mut staged = Vec::new();
-        let mut h = leaf_hash;
+        let hash_latency = self.config.security.hash_latency;
+        if self.path_resident(kind, leaf) {
+            let hit = now + self.mt_cache.latency();
+            let mut t = now;
+            let mut index = leaf;
+            for level in 1..root_level {
+                index /= arity;
+                let addr = self.node_addr(kind, level, index)?;
+                // `ensure_node`'s resident hit, then `put_node`'s touch.
+                self.mt_touch(addr, false)?;
+                let persist_this = level <= persist_levels;
+                self.mt_touch(addr, !persist_this)?;
+                if persist_this {
+                    let buf = self.nodes.get(addr.0).ok_or_else(|| {
+                        SecureMemoryError::internal(format!("lazy walk lost resident node {addr}"))
+                    })?;
+                    staged.push(StagedWrite { addr, data: buf.0 });
+                }
+                t = t.max(hit) + hash_latency;
+            }
+            self.unhashed.push((kind, leaf));
+            return Ok((None, t + hash_latency));
+        }
+        self.settle()?;
+        let mut h = bmt::leaf_hash(&self.mac_engine, kind, leaf, counter_bytes);
         let mut child_index = leaf;
         let mut t = now;
         for level in 1..=root_level {
@@ -1495,22 +1592,15 @@ impl SecureMemory {
             if level == root_level {
                 let mut root = self.root(kind);
                 root.set_slot(slot, h);
-                t += self.config.security.hash_latency;
-                return Ok((staged, root, t));
+                t += hash_latency;
+                return Ok((Some(root), t));
             }
             let (mut buf, tn) = self.ensure_node(kind, level, index, now)?;
             buf.set_slot(slot, h);
             let persist_this = level <= persist_levels;
             self.put_node(kind, level, index, buf, !persist_this)?;
             if persist_this {
-                let addr = self
-                    .layout(kind)
-                    .bmt_node_addr(level, index)
-                    .ok_or_else(|| {
-                        SecureMemoryError::internal(format!(
-                            "persisted BMT node ({level}, {index}) has no in-memory address"
-                        ))
-                    })?;
+                let addr = self.node_addr(kind, level, index)?;
                 staged.push(StagedWrite { addr, data: buf.0 });
             }
             h = bmt::node_hash(
@@ -1522,10 +1612,151 @@ impl SecureMemory {
                 },
                 &buf.0,
             );
-            t = t.max(tn) + self.config.security.hash_latency;
+            t = t.max(tn) + hash_latency;
             child_index = index;
         }
         unreachable!("loop returns at root level");
+    }
+
+    /// In-memory address of BMT node `(level, index)` below the root.
+    fn node_addr(&self, kind: RegionKind, level: u8, index: u64) -> Result<BlockAddr> {
+        self.layout(kind)
+            .bmt_node_addr(level, index)
+            .ok_or_else(|| {
+                SecureMemoryError::internal(format!(
+                    "BMT node ({level}, {index}) below root has no in-memory address"
+                ))
+            })
+    }
+
+    /// Whether `leaf`'s counter block and every node on its path below
+    /// the root are resident on chip (the lazy walk's condition).
+    fn path_resident(&self, kind: RegionKind, leaf: u64) -> bool {
+        let layout = self.layout(kind);
+        let counter = layout.counter_start + leaf;
+        if !self.counters.contains_key(counter.0) {
+            return false;
+        }
+        let geom = &layout.geometry;
+        let mut index = leaf;
+        for level in 1..geom.root_level() {
+            index /= geom.arity();
+            match layout.bmt_node_addr(level, index) {
+                Some(addr) if self.nodes.contains_key(addr.0) && self.mt_cache.probe(addr) => {}
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    /// Settles every hash the lazy walks deferred: per region, the
+    /// unhashed leaves' counter hashes, then each dirty node's hash
+    /// level by level, bottom-up, once per distinct node in ascending
+    /// index order. Each hash goes into its parent's slot (a resident
+    /// node, or the root register); every settled node's bytes refresh
+    /// its staged copy in the open batch, and a settled persistent root
+    /// becomes the staged new root. Touches no cache.
+    ///
+    /// # Errors
+    ///
+    /// [`SecureMemoryError::Internal`] if an unhashed leaf's counter or
+    /// a node on its path is no longer on chip (the settle rule in
+    /// [`crate::batch`] prevents that).
+    pub(crate) fn settle(&mut self) -> Result<()> {
+        if self.unhashed.is_empty() {
+            return Ok(());
+        }
+        let mut indices = std::mem::take(&mut self.path_nodes);
+        let mut hashes = std::mem::take(&mut self.path_hashes);
+        let mut result = Ok(());
+        for kind in RegionKind::ALL {
+            indices.clear();
+            indices.extend(
+                self.unhashed
+                    .iter()
+                    .filter(|(k, _)| *k == kind)
+                    .map(|&(_, leaf)| leaf),
+            );
+            if indices.is_empty() {
+                continue;
+            }
+            indices.sort_unstable();
+            indices.dedup();
+            result = self.settle_region(kind, &mut indices, &mut hashes);
+            if result.is_err() {
+                break;
+            }
+        }
+        self.unhashed.clear();
+        self.path_nodes = indices;
+        self.path_hashes = hashes;
+        result
+    }
+
+    /// [`SecureMemory::settle`] for one region: `indices` holds its
+    /// unhashed leaves, sorted and distinct; both buffers are scratch.
+    fn settle_region(
+        &mut self,
+        kind: RegionKind,
+        indices: &mut Vec<u64>,
+        hashes: &mut Vec<Mac64>,
+    ) -> Result<()> {
+        let layout = self.map.region(kind);
+        let (counter_start, root_level, arity) = (
+            layout.counter_start,
+            layout.geometry.root_level(),
+            layout.geometry.arity(),
+        );
+        hashes.clear();
+        for &leaf in indices.iter() {
+            let addr = counter_start + leaf;
+            let cb = self.counters.get(addr.0).ok_or_else(|| {
+                SecureMemoryError::internal(format!("unhashed counter {addr} left the chip"))
+            })?;
+            hashes.push(bmt::leaf_hash(&self.mac_engine, kind, leaf, &cb.to_bytes()));
+        }
+        // `indices` holds the sorted, distinct nodes at `level - 1`,
+        // beside their hashes: fold each run of siblings into its
+        // parent, in place.
+        for level in 1..root_level {
+            let mut out = 0;
+            let mut i = 0;
+            while i < indices.len() {
+                let index = indices[i] / arity;
+                let addr = self.node_addr(kind, level, index)?;
+                let node = self.nodes.get_mut(addr.0).ok_or_else(|| {
+                    SecureMemoryError::internal(format!("unhashed path node {addr} left the chip"))
+                })?;
+                while i < indices.len() && indices[i] / arity == index {
+                    node.set_slot((indices[i] % arity) as usize, hashes[i]);
+                    i += 1;
+                }
+                let bytes = node.0;
+                self.batch_refresh(addr, bytes);
+                hashes[out] = bmt::node_hash(
+                    &self.mac_engine,
+                    NodeId {
+                        region: kind,
+                        level,
+                        index,
+                    },
+                    &bytes,
+                );
+                indices[out] = index;
+                out += 1;
+            }
+            indices.truncate(out);
+            hashes.truncate(out);
+        }
+        let mut root = self.root(kind);
+        for (&child, &h) in indices.iter().zip(hashes.iter()) {
+            root.set_slot((child % arity) as usize, h);
+        }
+        self.set_root(kind, root);
+        if kind == RegionKind::Persistent && self.batch.is_open() {
+            self.regs.staged_mut().new_persistent_root = Some(root);
+        }
+        Ok(())
     }
 
     // ----- public timed block API -------------------------------------------
@@ -1708,9 +1939,9 @@ impl SecureMemory {
     /// time.
     ///
     /// The boundary is one write batch (see [`crate::batch`]): members
-    /// share one precomputed pad set, one prefetch plan and one
-    /// coalesced register/WPQ commit, and each member's write-back
-    /// starts when the previous one completes.
+    /// share one prefetch plan and one coalesced register/WPQ commit,
+    /// and each member's write-back starts when the previous one
+    /// completes.
     ///
     /// # Errors
     ///
@@ -1835,6 +2066,11 @@ impl SecureMemory {
     /// plaintext, on-chip metadata values, WPQ bookkeeping) vanishes;
     /// the NVM image and the persistent registers survive.
     pub fn crash(&mut self) {
+        // The registers survive: settle first, so the staged node
+        // copies and the staged root hold their hashes. A settle error
+        // means an on-chip invariant already broke; recovery's root
+        // check then reports the region.
+        let _ = self.settle();
         emit(&self.events, self.clock, "crash", &[]);
         self.l3.lose_all();
         self.ctr_cache.lose_all();
@@ -1846,7 +2082,7 @@ impl SecureMemory {
         self.np_written.clear();
         self.evict_queue.clear();
         self.epoch = None;
-        self.batch = None;
+        self.batch.close(&self.regs);
         self.osiris_since.clear();
         self.mc.crash();
         self.state = EngineState::Crashed;

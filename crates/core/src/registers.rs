@@ -44,8 +44,11 @@ pub struct PersistentRegisters {
     /// Session counter: 0 is reserved for persistent data; the current
     /// boot session (≥ 1) is used for non-persistent data IVs.
     pub session: u32,
-    /// Staged update awaiting its WPQ copy. `Some` ⇔ READY_BIT set.
-    staged: Option<StagedUpdate>,
+    /// READY_BIT: `staged` awaits its WPQ copy.
+    ready: bool,
+    /// The staged update. Empty whenever READY_BIT is clear; its write
+    /// buffer is kept across commits, so staging reuses it.
+    staged: StagedUpdate,
 }
 
 impl Default for PersistentRegisters {
@@ -54,7 +57,8 @@ impl Default for PersistentRegisters {
             persistent_root: NodeBuf::zeroed(),
             non_persistent_root: NodeBuf::zeroed(),
             session: 1,
-            staged: None,
+            ready: false,
+            staged: StagedUpdate::default(),
         }
     }
 }
@@ -68,36 +72,54 @@ impl PersistentRegisters {
     /// Whether READY_BIT is set (a staged update has not finished its
     /// WPQ copy).
     pub fn ready_bit(&self) -> bool {
-        self.staged.is_some()
+        self.ready
     }
 
     /// Logs an update set and sets READY_BIT.
     pub fn stage(&mut self, update: StagedUpdate) {
-        self.staged = Some(update);
+        self.staged = update;
+        self.ready = true;
+    }
+
+    /// Empties the staged update in place and sets READY_BIT (an open
+    /// batch's first write).
+    pub(crate) fn restage(&mut self) {
+        self.staged.writes.clear();
+        self.staged.new_persistent_root = None;
+        self.ready = true;
     }
 
     /// The staged update for in-place amendment (an open batch grows
     /// it write by write). Sets READY_BIT with an empty update if it
     /// was clear.
     pub(crate) fn staged_mut(&mut self) -> &mut StagedUpdate {
-        self.staged.get_or_insert_with(StagedUpdate::default)
+        if !self.ready {
+            self.restage();
+        }
+        &mut self.staged
     }
 
     /// The staged writes, in staging order (empty when READY_BIT is
     /// clear).
     pub(crate) fn staged_writes(&self) -> &[StagedWrite] {
-        self.staged.as_ref().map_or(&[], |u| &u.writes)
+        &self.staged.writes
     }
 
     /// Clears READY_BIT after a completed WPQ copy.
     pub fn commit(&mut self) {
-        self.staged = None;
+        self.staged.writes.clear();
+        self.staged.new_persistent_root = None;
+        self.ready = false;
     }
 
     /// Takes the staged update for replay at recovery (clears
     /// READY_BIT).
     pub fn take_staged(&mut self) -> Option<StagedUpdate> {
-        self.staged.take()
+        if !self.ready {
+            return None;
+        }
+        self.ready = false;
+        Some(std::mem::take(&mut self.staged))
     }
 
     /// Number of register slots a staged update of `writes` NVM writes
@@ -162,6 +184,28 @@ mod tests {
         r.staged_mut().writes[0].data = [5; 64];
         assert_eq!(r.staged_writes()[0].data, [5; 64]);
         assert_eq!(r.take_staged().map(|u| u.writes.len()), Some(1));
+    }
+
+    #[test]
+    fn commit_keeps_the_staging_buffer() {
+        let mut r = PersistentRegisters::new();
+        r.restage();
+        r.staged_mut().writes.push(StagedWrite {
+            addr: BlockAddr(7),
+            data: [7; 64],
+        });
+        r.commit();
+        assert!(!r.ready_bit());
+        assert!(r.staged_writes().is_empty());
+        assert_eq!(
+            r,
+            PersistentRegisters::new(),
+            "a committed file equals a fresh one"
+        );
+        assert!(
+            r.staged.writes.capacity() >= 1,
+            "the buffer survives the commit"
+        );
     }
 
     #[test]

@@ -165,8 +165,8 @@ impl System {
 
     /// Enables write-combining of persistent stores: up to `window`
     /// *consecutive* `PersistentStore` ops per core buffer on chip and
-    /// drain through one engine [`WriteBatch`] (shared pad pass,
-    /// prefetch plan and coalesced metadata commit). Any other memory
+    /// drain through one engine [`WriteBatch`] (shared prefetch plan
+    /// and coalesced metadata commit). Any other memory
     /// operation acts as a barrier and drains the buffer first, as
     /// does the end of the core's trace.
     ///

@@ -4,9 +4,16 @@
 //! identical — byte-identical NVM image (data, counters, MACs and BMT
 //! nodes), identical persistent BMT root, and identical post-crash
 //! recovery — under every scheme, with strict counters and with the
-//! Osiris counter relaxation. The batch pipeline (shared pad pass,
-//! prefetch planning, coalesced metadata commit) is a performance
+//! Osiris counter relaxation. The batch pipeline (prefetch planning,
+//! deferred path hashing, coalesced metadata commit) is a performance
 //! transformation only.
+//!
+//! Every history runs twice: as drawn, on the default configuration,
+//! and again on a configuration with tiny counter and MT caches, where
+//! some batches crash at a member (the hook armed on both replicas).
+//! The tiny caches evict unhashed counters and path nodes mid-batch,
+//! and the member crashes leave deferred hashes at the crash; both
+//! must settle to exactly the scalar walk's bytes.
 //!
 //! Six (scheme, counter policy) tests × 250 default cases = 1500
 //! seeded histories; `TRIAD_PROP_CASES` rescales each test as usual.
@@ -14,9 +21,11 @@
 use std::collections::BTreeMap;
 
 use triad_core::{
-    CounterPersistence, PersistScheme, SecureMemory, SecureMemoryBuilder, WriteBatch,
+    CounterPersistence, PersistScheme, SecureMemory, SecureMemoryBuilder, SecureMemoryError,
+    WriteBatch,
 };
 use triad_meta::layout::RegionKind;
+use triad_sim::config::{CacheConfig, SystemConfig};
 use triad_sim::prop::{check, Config};
 use triad_sim::rng::SplitMix64;
 use triad_sim::{BlockAddr, PhysAddr, Time, BLOCK_BYTES};
@@ -55,8 +64,52 @@ fn gen_history(rng: &mut SplitMix64, base: PhysAddr, allow_crash: bool) -> Vec<E
         .collect()
 }
 
-fn build(scheme: PersistScheme, policy: CounterPersistence, key_seed: u64) -> SecureMemory {
-    SecureMemoryBuilder::new()
+/// The second run of every history: tiny counter and MT caches, and
+/// member crashes.
+struct Variant {
+    /// Per event, the member a `Batch` crashes at (both replicas).
+    crash_at: Vec<Option<usize>>,
+}
+
+impl Variant {
+    /// Draws member crashes for `history` from a stream derived from
+    /// the case's key seed, so the history's own draws stay as they
+    /// were.
+    fn draw(history: &[Event], key_seed: u64, allow_crash: bool) -> Self {
+        let mut rng = SplitMix64::new(key_seed ^ 0x7A11_C0DE);
+        let crash_at = history
+            .iter()
+            .map(|event| match event {
+                Event::Batch(members) if allow_crash && rng.gen_bool(0.2) => {
+                    Some(rng.gen_range(0..members.len() as u64) as usize)
+                }
+                _ => None,
+            })
+            .collect();
+        Variant { crash_at }
+    }
+}
+
+/// The default configuration with 4-line counter and 8-line MT caches.
+fn tiny_caches() -> SystemConfig {
+    let mut config = SystemConfig::tiny();
+    config.security.counter_cache = CacheConfig::new(4 * 64, 2, 3);
+    config.security.mt_cache = CacheConfig::new(8 * 64, 2, 3);
+    config
+}
+
+fn build(
+    scheme: PersistScheme,
+    policy: CounterPersistence,
+    key_seed: u64,
+    variant: Option<&Variant>,
+) -> SecureMemory {
+    let builder = SecureMemoryBuilder::new();
+    let builder = match variant {
+        Some(_) => builder.config(tiny_caches()),
+        None => builder,
+    };
+    builder
         .scheme(scheme)
         .counter_persistence(policy)
         .key_seed(key_seed)
@@ -74,36 +127,87 @@ fn check_equivalence(
     rng: &mut SplitMix64,
 ) -> Result<(), String> {
     let key_seed = rng.next_u64();
-    let mut scalar = build(scheme, policy, key_seed);
-    let mut batched = build(scheme, policy, key_seed);
-    let base = scalar.persistent_region().start();
+    let base = build(scheme, policy, key_seed, None)
+        .persistent_region()
+        .start();
     // WriteBack deliberately cannot recover the persistent region, so a
     // mid-history crash poisons every later persist on both sides;
     // keep its histories crash-free and let the final cycle below
     // check that both replicas poison identically.
     let allow_crash = scheme.persists_metadata();
     let history = gen_history(rng, base, allow_crash);
+    replay(scheme, policy, key_seed, &history, None)?;
+    let variant = Variant::draw(&history, key_seed, allow_crash);
+    replay(scheme, policy, key_seed, &history, Some(&variant))
+        .map_err(|e| format!("tiny caches, member crashes: {e}"))
+}
 
+/// Replays `history` on a scalar and a batched replica and compares
+/// them.
+fn replay(
+    scheme: PersistScheme,
+    policy: CounterPersistence,
+    key_seed: u64,
+    history: &[Event],
+    variant: Option<&Variant>,
+) -> Result<(), String> {
+    let mut scalar = build(scheme, policy, key_seed, variant);
+    let mut batched = build(scheme, policy, key_seed, variant);
     let mut touched: Vec<BlockAddr> = Vec::new();
     let (mut ts, mut tb) = (Time::ZERO, Time::ZERO);
-    for event in &history {
+    // The scalar path counts a persist before its crash point and the
+    // batched path after it, so each member crash leaves the scalar
+    // count one ahead.
+    let mut member_crashes = 0;
+    for (e, event) in history.iter().enumerate() {
         match event {
             Event::Batch(members) => {
+                let crash_at = variant.and_then(|v| v.crash_at[e]);
+                if let Some(n) = crash_at {
+                    scalar.inject_crash_after_persists(n as u64);
+                    batched.inject_crash_after_persists(n as u64);
+                }
+                let mut scalar_crashed = false;
                 for (block, data) in members {
-                    ts = scalar
-                        .persist_block(*block, *data, ts)
-                        .map_err(|e| format!("scalar persist: {e}"))?;
                     if !touched.contains(block) {
                         touched.push(*block);
+                    }
+                    match scalar.persist_block(*block, *data, ts) {
+                        Ok(t) => ts = t,
+                        Err(SecureMemoryError::NeedsRecovery) if crash_at.is_some() => {
+                            scalar_crashed = true;
+                            break;
+                        }
+                        Err(e) => return Err(format!("scalar persist: {e}")),
                     }
                 }
                 let mut batch = WriteBatch::new();
                 for (block, data) in members {
                     batch.push(*block, *data);
                 }
-                tb = batched
-                    .persist_batch(&batch, tb)
-                    .map_err(|e| format!("batched persist: {e}"))?;
+                let batched_crashed = match batched.persist_batch(&batch, tb) {
+                    Ok(t) => {
+                        tb = t;
+                        false
+                    }
+                    Err(SecureMemoryError::NeedsRecovery) if crash_at.is_some() => true,
+                    Err(e) => return Err(format!("batched persist: {e}")),
+                };
+                if scalar_crashed != batched_crashed || scalar_crashed != crash_at.is_some() {
+                    return Err(format!(
+                        "member crash at {crash_at:?}: scalar crashed {scalar_crashed}, \
+                         batched crashed {batched_crashed}"
+                    ));
+                }
+                if scalar_crashed {
+                    member_crashes += 1;
+                    scalar
+                        .recover()
+                        .map_err(|e| format!("scalar recover: {e}"))?;
+                    batched
+                        .recover()
+                        .map_err(|e| format!("batched recover: {e}"))?;
+                }
             }
             Event::Crash => {
                 scalar.crash();
@@ -124,9 +228,10 @@ fn check_equivalence(
     if scalar.root(RegionKind::Persistent) != batched.root(RegionKind::Persistent) {
         return Err("persistent BMT roots diverged".into());
     }
-    if scalar.stats().persists != batched.stats().persists {
+    if scalar.stats().persists != batched.stats().persists + member_crashes {
         return Err(format!(
-            "durability-point counts diverged: scalar {} vs batched {}",
+            "durability-point counts diverged: scalar {} vs batched {} after {member_crashes} \
+             member crashes",
             scalar.stats().persists,
             batched.stats().persists
         ));

@@ -4,6 +4,8 @@
 //! the epoch boundary.
 
 use triad_core::{PersistScheme, SecureMemoryBuilder};
+use triad_sim::config::CacheConfig;
+use triad_sim::rng::SplitMix64;
 use triad_sim::{PhysAddr, Time};
 
 fn build() -> triad_core::SecureMemory {
@@ -153,4 +155,42 @@ fn epoch_reduces_metadata_write_traffic() {
         epoch * 10 <= strict,
         "epoch ({epoch}) should cut metadata persists ≥10× vs per-op ({strict})"
     );
+}
+
+#[test]
+fn epoch_boundary_with_tiny_caches_keeps_every_member() {
+    // A 4-line counter cache and an 8-line MT cache: the boundary's
+    // members evict each other's counters and path nodes, and a member
+    // whose counter is still queued for write-back pulls it back on
+    // chip, evicting a counter whose path hashes are still deferred.
+    // Those must settle before they leave the chip.
+    let mut config = triad_sim::config::SystemConfig::tiny();
+    config.security.counter_cache = CacheConfig::new(4 * 64, 2, 3);
+    config.security.mt_cache = CacheConfig::new(8 * 64, 2, 3);
+    let mut m = SecureMemoryBuilder::new()
+        .config(config)
+        .scheme(PersistScheme::triad_nvm(2))
+        .build()
+        .unwrap();
+    let p = m.persistent_region().start();
+    let mut rng = SplitMix64::new(0xE90C);
+    let mut want = std::collections::BTreeMap::new();
+    for round in 0..40u64 {
+        m.begin_epoch().unwrap();
+        for i in 0..24u64 {
+            let page = rng.gen_range(0..24);
+            let a = PhysAddr(p.0 + page * 4096 + rng.gen_range(0..4) * 64);
+            let mut b = [0u8; 64];
+            b[..16].copy_from_slice(&[round.to_le_bytes(), i.to_le_bytes()].concat());
+            m.persist_block(a.block(), b, Time::ZERO).unwrap();
+            want.insert(a.0, b);
+        }
+        m.end_epoch(Time::ZERO).unwrap();
+        assert!(m.validate_consistency().is_empty(), "round {round}");
+    }
+    m.crash();
+    assert!(m.recover().unwrap().persistent_recovered);
+    for (addr, data) in want {
+        assert_eq!(m.read(PhysAddr(addr)).unwrap(), data, "block {addr:#x}");
+    }
 }

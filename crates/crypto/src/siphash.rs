@@ -51,32 +51,31 @@ impl SipHash24 {
         SipHash24 { k0, k1 }
     }
 
-    /// Hashes `data`, producing the 64-bit tag.
-    pub fn hash(&self, data: &[u8]) -> u64 {
-        let mut v = [
+    /// The keyed initial state.
+    #[inline]
+    fn init(&self) -> [u64; 4] {
+        [
             self.k0 ^ 0x736f_6d65_7073_6575,
             self.k1 ^ 0x646f_7261_6e64_6f6d,
             self.k0 ^ 0x6c79_6765_6e65_7261,
             self.k1 ^ 0x7465_6462_7974_6573,
-        ];
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            let m = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-            v[3] ^= m;
-            sipround(&mut v);
-            sipround(&mut v);
-            v[0] ^= m;
-        }
-        // Final block: remaining bytes plus the length in the top byte.
-        let rem = chunks.remainder();
-        let mut last = [0u8; 8];
-        last[..rem.len()].copy_from_slice(rem);
-        last[7] = data.len() as u8;
-        let m = u64::from_le_bytes(last);
+        ]
+    }
+
+    /// Absorbs one 8-byte message word (two compression rounds).
+    #[inline]
+    fn compress(v: &mut [u64; 4], m: u64) {
         v[3] ^= m;
-        sipround(&mut v);
-        sipround(&mut v);
+        sipround(v);
+        sipround(v);
         v[0] ^= m;
+    }
+
+    /// Absorbs the final word (tail bytes plus the length in the top
+    /// byte) and runs the four finalisation rounds.
+    #[inline]
+    fn finish(mut v: [u64; 4], last: u64) -> u64 {
+        Self::compress(&mut v, last);
         v[2] ^= 0xff;
         for _ in 0..4 {
             sipround(&mut v);
@@ -84,14 +83,33 @@ impl SipHash24 {
         v[0] ^ v[1] ^ v[2] ^ v[3]
     }
 
-    /// Hashes a sequence of 64-bit words (little-endian), a convenience
-    /// for hashing structured metadata without an allocation.
-    pub fn hash_words(&self, words: &[u64]) -> u64 {
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
+    /// Hashes `data`, producing the 64-bit tag.
+    pub fn hash(&self, data: &[u8]) -> u64 {
+        let mut v = self.init();
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            let m = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+            Self::compress(&mut v, m);
         }
-        self.hash(&bytes)
+        // Final block: remaining bytes plus the length in the top byte.
+        let rem = chunks.remainder();
+        let mut last = [0u8; 8];
+        last[..rem.len()].copy_from_slice(rem);
+        last[7] = data.len() as u8;
+        Self::finish(v, u64::from_le_bytes(last))
+    }
+
+    /// Hashes a sequence of 64-bit words, equal to [`SipHash24::hash`]
+    /// over their little-endian bytes. The words are absorbed directly,
+    /// with no byte buffer.
+    pub fn hash_words(&self, words: &[u64]) -> u64 {
+        let mut v = self.init();
+        for &m in words {
+            Self::compress(&mut v, m);
+        }
+        // Whole words leave no tail bytes: the final block is the
+        // length alone.
+        Self::finish(v, u64::from((words.len() * 8) as u8) << 56)
     }
 }
 
@@ -147,12 +165,23 @@ mod tests {
     #[test]
     fn hash_words_matches_bytes() {
         let h = reference();
-        let words = [0x0102_0304_0506_0708u64, 42];
-        let mut bytes = Vec::new();
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
+        let pool = [
+            0x0102_0304_0506_0708u64,
+            42,
+            0,
+            u64::MAX,
+            0x8000_0000_0000_0001,
+        ];
+        for n in 0..=16usize {
+            let words: Vec<u64> = (0..n)
+                .map(|i| pool[i % pool.len()].rotate_left(i as u32))
+                .collect();
+            let mut bytes = Vec::new();
+            for w in &words {
+                bytes.extend_from_slice(&w.to_le_bytes());
+            }
+            assert_eq!(h.hash_words(&words), h.hash(&bytes), "{n} words");
         }
-        assert_eq!(h.hash_words(&words), h.hash(&bytes));
     }
 
     #[test]

@@ -97,6 +97,12 @@ pub enum KvError {
         /// The largest fleet the directory chain can describe.
         max: u64,
     },
+    /// A submitted request came back without a response: a serving
+    /// lane dropped it.
+    MissingResponse {
+        /// Position of the request in the submitted slice.
+        index: usize,
+    },
 }
 
 impl fmt::Display for KvError {
@@ -123,6 +129,9 @@ impl fmt::Display for KvError {
                     f,
                     "fleet of {requested} shards exceeds the directory max of {max}"
                 )
+            }
+            KvError::MissingResponse { index } => {
+                write!(f, "request {index} produced no response")
             }
         }
     }

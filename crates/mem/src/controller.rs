@@ -78,17 +78,24 @@ impl StatRegister for MemHistograms {
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
     writes: BlockMap<u64>,
+    /// Writes absorbed by the most-written block, kept as `record` runs.
+    max: u64,
+    /// Writes over all blocks, kept as `record` runs.
+    total: u64,
 }
 
 impl WearTracker {
     /// Records one physical write to `addr`.
     pub fn record(&mut self, addr: BlockAddr) {
-        *self.writes.get_or_insert_with(addr.0, || 0) += 1;
+        let n = self.writes.get_or_insert_with(addr.0, || 0);
+        *n += 1;
+        self.max = self.max.max(*n);
+        self.total += 1;
     }
 
     /// Writes absorbed by the most-written block (the wear hot spot).
     pub fn max_writes(&self) -> u64 {
-        self.writes.values().copied().max().unwrap_or(0)
+        self.max
     }
 
     /// Mean writes over blocks that were written at all.
@@ -96,7 +103,7 @@ impl WearTracker {
         if self.writes.is_empty() {
             return 0.0;
         }
-        self.writes.values().sum::<u64>() as f64 / self.writes.len() as f64
+        self.total as f64 / self.writes.len() as f64
     }
 
     /// Number of distinct blocks ever written.
@@ -497,6 +504,11 @@ mod tests {
         let w = m.wear();
         assert_eq!(w.hottest(1)[0].0, BlockAddr(5));
         assert!(w.imbalance() > 10.0, "imbalance = {}", w.imbalance());
+        // The running max and total agree with a full scan.
+        let all = w.hottest(usize::MAX);
+        assert_eq!(w.max_writes(), all[0].1);
+        let total: u64 = all.iter().map(|(_, n)| n).sum();
+        assert_eq!(w.mean_writes(), total as f64 / all.len() as f64);
     }
 
     #[test]

@@ -723,7 +723,8 @@ impl KvService {
     ///
     /// The first failing lane's error, in shard order (an injected
     /// crash surfaces as `KvError::Memory(NeedsRecovery)`; see
-    /// [`KvService::recover_shard`]).
+    /// [`KvService::recover_shard`]). [`KvError::MissingResponse`] if a
+    /// lane returned no outcome for some request.
     pub fn submit_as(&mut self, tenant: u64, reqs: &[Request]) -> Result<Vec<Response>, KvError> {
         let mode = self.tenant_mode(tenant);
         let n = self.lanes.len();
@@ -794,10 +795,11 @@ impl KvService {
         for (idx, merged) in scans {
             responses[idx] = Some(Response::Scanned(merged.into_iter().collect()));
         }
-        Ok(responses
+        responses
             .into_iter()
-            .map(|r| r.expect("every submitted request produces exactly one response"))
-            .collect())
+            .enumerate()
+            .map(|(index, r)| r.ok_or(KvError::MissingResponse { index }))
+            .collect()
     }
 
     /// The service's durable state, merged across shards by key.
