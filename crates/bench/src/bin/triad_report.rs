@@ -7,19 +7,29 @@
 //! each cell. Trace cells enable an 8-deep persist write-combining
 //! window ([`System::set_persist_batch`]).
 //!
-//! Every KV row runs through the one multi-shard driver, the sharded
-//! [`KvService`] front-end. Two rows (`kv-zipf`, `kv-uniform`) drive
-//! a four-shard service one request per submit under each scheme and
-//! verify recovery of every shard against an in-DRAM oracle. Four
-//! serving rows (`fleet-1/2/4`, `fleet-nogc`) push one seeded request
-//! schedule through 1–4 shards and measure aggregate throughput vs.
-//! shard count and the commit-marker amortization of group commit
+//! Every KV row runs through one serving-row driver, `serve_row`, over
+//! the sharded [`KvService`] front-end. The fixed row table in `main`
+//! fills in a `ServeRow` — service geometry, the tenant's durability
+//! tier, the request schedule, submit chunk, how many leading shards
+//! crash, the latency definition and the extra JSON object — and the
+//! driver runs the schedule serially, totals writes over the shards,
+//! then crashes the leading shards with any staged work left behind
+//! and recovers them. A serving row's `recovered` column is true only
+//! if every recovered shard reports the row's tier within that tier's
+//! loss bound (invariant D7, `docs/durability-contract.md`) and, under
+//! Strict, the merged durable state equals the in-DRAM oracle exactly.
+//!
+//! Two kv rows (`kv-zipf`, `kv-uniform`) drive a four-shard service
+//! one request per submit under each scheme and crash every shard;
+//! WriteBack is expected to fail the oracle, and that gap is the rows'
+//! point. Four fleet rows (`fleet-1/2/4`, `fleet-nogc`) push one
+//! seeded schedule through 1–4 shards and measure aggregate throughput
+//! vs. shard count and the commit-marker amortization of group commit
 //! (window 8 vs. the unbatched window-1 `fleet-nogc` row). Three
 //! durability-mode rows (`mode-strict`, `mode-buffered`,
-//! `mode-inmemory`) run one tenant under each tier of the durability
-//! contract (`docs/durability-contract.md`), crash a shard with work
-//! still staged, and record what recovery measured against the tier's
-//! loss bound. Eight recov rows (`stack-mixed-1..4`,
+//! `mode-inmemory`) run the same schedule on two shards under each
+//! tier of the durability contract and record what recovery measured
+//! against the tier's loss bound. Eight recov rows (`stack-mixed-1..4`,
 //! `queue-mixed-1..4`) drive the detectably recoverable Treiber stack
 //! / MS queue from `triad-recov` through the seeded interleaving
 //! harness at 1–4 threads, with the concurrent crash-equivalence
@@ -48,7 +58,7 @@ use triad_sim::stats::Histogram;
 use triad_sim::Time;
 use triad_workloads::recov::StructureKind;
 use triad_workloads::service::{
-    generate_requests, DurabilityMode, KvMix, KvService, Request, Response, ServiceSpec,
+    generate_requests, DurabilityMode, GroupStats, KvMix, KvService, Request, Response, ServiceSpec,
 };
 use triad_workloads::{build_workload, run_recov_mix, RecovMixSpec, WorkloadEnv};
 
@@ -57,33 +67,28 @@ use triad_workloads::{build_workload, run_recov_mix, RecovMixSpec, WorkloadEnv};
 struct FleetExtra {
     shards: u64,
     group_window: usize,
-    mutations: u64,
-    group_flushes: u64,
-    log_records: u64,
-    commit_markers: u64,
-    shed: u64,
+    groups: GroupStats,
 }
 
 impl FleetExtra {
     /// Commit-marker persists per applied mutation — 1.0 on the
     /// unbatched path, 1/window under perfect group commit.
     fn markers_per_mutation(&self) -> f64 {
-        if self.mutations == 0 {
+        if self.groups.ops == 0 {
             0.0
         } else {
-            self.commit_markers as f64 / self.mutations as f64
+            self.groups.commit_markers as f64 / self.groups.ops as f64
         }
     }
 }
 
 /// The durability-tier extras a mode row carries: which contract the
-/// tenant ran under and what the post-crash recovery report measured
+/// tenant ran under and what the post-crash recovery reports measured
 /// against it (`docs/durability-contract.md`, invariant D7).
 struct ModeExtra {
-    tier: &'static str,
+    mode: DurabilityMode,
     barriers: u64,
     mutations_lost: u64,
-    loss_bound: Option<u64>,
     within_bound: bool,
 }
 
@@ -95,6 +100,18 @@ struct RecovExtra {
     thread_crashes: u64,
     engine_crashes: u64,
     persists_per_op: f64,
+}
+
+/// The extra JSON object a row carries beyond the common cell columns.
+enum Extra {
+    /// The common columns only (trace and kv rows).
+    None,
+    /// `fleet`: shard geometry and group-commit amortization.
+    Fleet(FleetExtra),
+    /// `durability`: the tenant's tier and what recovery measured.
+    Durability(ModeExtra),
+    /// `recov`: threads, scheduler work and crash bookkeeping.
+    Recov(RecovExtra),
 }
 
 /// One (workload, scheme) cell of the matrix.
@@ -111,12 +128,7 @@ struct Cell {
     recovered: bool,
     recovery_blocks_read: u64,
     recovery_ns: u64,
-    /// `Some` on the serving-fleet rows only.
-    fleet: Option<FleetExtra>,
-    /// `Some` on the durability-mode rows only.
-    mode: Option<ModeExtra>,
-    /// `Some` on the recov lock-free-structure rows only.
-    recov: Option<RecovExtra>,
+    extra: Extra,
 }
 
 /// The report runs on a small machine (tiny caches, 16 MiB NVM) so the
@@ -180,11 +192,52 @@ fn run_cell(workload: &'static str, scheme: PersistScheme, ops: u64, seed: u64) 
         recovered: report.persistent_recovered,
         recovery_blocks_read: report.persistent_blocks_read + report.non_persistent_blocks_read,
         recovery_ns: report.estimated_duration.as_ns(),
-        fleet: None,
-        mode: None,
-        recov: None,
+        extra: Extra::None,
     }
 }
+
+/// How a serving row turns simulated clock advance into latency
+/// samples, one per submit. Both definitions are stand-ins until
+/// per-request admission and acknowledgement stamps replace them
+/// (ROADMAP item 2, step 2); switching a row between them moves its
+/// latency cells.
+#[derive(Clone, Copy)]
+enum Latency {
+    /// The largest per-shard clock advance over the submit: with one
+    /// request per submit, the routed shard's advance (a scan's is the
+    /// slowest shard's).
+    ShardAdvance,
+    /// The fleet makespan's advance over the submit, divided by the
+    /// submit's request count.
+    MakespanPerRequest,
+}
+
+/// Which extra JSON object a serving row emits.
+#[derive(Clone, Copy)]
+enum ServeExtra {
+    None,
+    Fleet,
+    Durability,
+}
+
+/// One serving row of the matrix; every field is fixed by `main`'s
+/// row table.
+struct ServeRow<'a> {
+    workload: &'static str,
+    spec: ServiceSpec,
+    /// The tier the row's one tenant submits under.
+    mode: DurabilityMode,
+    reqs: &'a [Request],
+    /// Requests per submit.
+    chunk: usize,
+    /// Leading shards crashed and recovered after the run.
+    crash_shards: usize,
+    latency: Latency,
+    extra: ServeExtra,
+}
+
+/// The tenant every serving row submits as.
+const TENANT: u64 = 1;
 
 /// Per-shard simulated clocks, in shard order.
 fn shard_clocks(svc: &KvService) -> Vec<Time> {
@@ -207,146 +260,49 @@ fn write_totals(svc: &KvService) -> [u64; 4] {
     totals
 }
 
-/// A KV cell: the seeded kv-* schedule (Zipf(0.99) or uniform keys
-/// over 1024 keys, 8–256 B values, 4:9:2:1 put/get/delete/scan)
-/// driven through a four-shard [`KvService`] under the row's scheme,
-/// one request per submit with group window 1, so every mutation is a
-/// one-mutation group commit. A request's latency is the clock advance
-/// of the shard it routes to; a scan's is the largest advance over all
-/// shards. Throughput is requests over the slowest shard's elapsed
-/// clock. Its recovery column is stronger than the trace cells':
-/// every shard is crashed and recovered (engine recovery plus redo
-/// log replay), and `recovered` is true only if the merged durable
-/// state equals the in-DRAM oracle exactly. Blocks read are summed
-/// over shards; recovery time is the slowest shard's, as shards
-/// recover independently. WriteBack is expected to fail that bar;
-/// that gap is the row's point.
-fn run_kv_cell(workload: &'static str, scheme: PersistScheme, ops: u64, seed: u64) -> Cell {
-    let spec = ServiceSpec {
-        shards: 4,
-        group_window: 1,
-        scheme,
-        key_seed: seed,
-        config: Some(report_config()),
-        ..ServiceSpec::new(4)
-    };
-    let zipf_s = (workload == "kv-zipf").then_some(0.99);
-    let reqs = generate_requests(
-        seed,
-        ops as usize,
-        1024,
-        (8, 256),
-        zipf_s,
-        KvMix::READ_HEAVY,
-    );
-    let mut svc = KvService::create(&spec).expect("kv cell create");
+/// A serving cell: pushes the row's schedule through a serial
+/// [`KvService`] in `chunk`-request submits as one tenant under the
+/// row's tier. An InMemory tenant barriers every fourth chunk so its
+/// staged work keeps promoting instead of growing an unbounded
+/// overlay. Throughput is requests over the fleet makespan (the
+/// slowest shard's clock).
+///
+/// After the run the leading `crash_shards` shards are crashed with
+/// whatever the tier left staged — no final flush or barrier — and
+/// recovered (engine recovery plus redo-log replay). `recovered` is
+/// true only if every one recovers, reports the row's tier and
+/// measures a loss within that tier's bound (invariant D7), and, under
+/// Strict, the merged durable state equals the in-DRAM oracle exactly.
+/// Blocks read and mutations lost are summed over the crashed shards;
+/// recovery time is the slowest shard's, as shards recover
+/// independently.
+fn serve_row(row: ServeRow) -> Cell {
+    let mut svc = KvService::create(&row.spec).expect("serving row create");
     svc.set_threaded(false);
+    svc.set_tenant_mode(TENANT, row.mode);
     let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let mut latency = Histogram::new();
-    let t0 = shard_clocks(&svc);
-    for req in &reqs {
-        let before = shard_clocks(&svc);
-        let resps = svc.submit(std::slice::from_ref(req)).expect("clean KV run");
-        let after = shard_clocks(&svc);
-        let advance = |i: usize| after[i].since(before[i]).as_ns();
-        latency.record(match req {
-            Request::Put { key, .. } | Request::Get { key } | Request::Delete { key } => {
-                advance(svc.route(*key))
-            }
-            Request::Scan => (0..after.len()).map(advance).max().unwrap_or(0),
-        });
-        match (req, resps.first()) {
-            (Request::Put { key, value }, Some(Response::Done)) => {
-                model.insert(*key, value.clone());
-            }
-            (Request::Delete { key }, Some(Response::Done)) => {
-                model.remove(key);
-            }
-            _ => {}
-        }
-    }
-    let elapsed = shard_clocks(&svc)
-        .iter()
-        .zip(&t0)
-        .map(|(end, start)| end.since(*start).as_secs_f64())
-        .fold(0.0, f64::max);
-    let [nvm_writes, pmw, emw, wpq] = write_totals(&svc);
-
-    for i in 0..svc.shard_count() {
-        svc.shard_mem_mut(i).expect("shard in range").crash();
-    }
-    let (mut recovered, mut recovery_blocks_read, mut recovery_ns) = (true, 0u64, 0u64);
-    for i in 0..svc.shard_count() {
-        match svc.recover_shard(i) {
-            Ok(report) => {
-                recovered &= report.persistent_recovered;
-                recovery_blocks_read +=
-                    report.persistent_blocks_read + report.non_persistent_blocks_read;
-                recovery_ns = recovery_ns.max(report.estimated_duration.as_ns());
-            }
-            Err(_) => recovered = false,
-        }
-    }
-    recovered = recovered && svc.dump().map(|state| state == model).unwrap_or(false);
-
-    Cell {
-        workload,
-        scheme,
-        ops: reqs.len() as u64,
-        throughput: if elapsed > 0.0 {
-            reqs.len() as f64 / elapsed
-        } else {
-            0.0
-        },
-        latency,
-        nvm_writes,
-        persist_metadata_writes: pmw,
-        evict_metadata_writes: emw,
-        wpq_full_events: wpq,
-        recovered,
-        recovery_blocks_read,
-        recovery_ns,
-        fleet: None,
-        mode: None,
-        recov: None,
-    }
-}
-
-/// A serving-fleet cell: the same seeded request schedule pushed
-/// through the sharded [`KvService`] front-end (keyed-hash routing,
-/// group commit, worker threads). Throughput is aggregate: total
-/// requests over the *slowest shard's* simulated clock, so the
-/// `fleet-1` → `fleet-4` rows measure shard-count scaling, and the
-/// window-1 `fleet-nogc` row isolates what group commit buys
-/// (`markers_per_mutation` is the amortization headline). Latency
-/// samples are per-request averages over 64-request submit chunks on
-/// that slowest-shard clock. Recovery crashes shard 0 after the run,
-/// replays its WAL, and demands the merged durable state still equal
-/// the in-DRAM oracle exactly.
-fn run_fleet_cell(
-    workload: &'static str,
-    shards: u64,
-    group_window: usize,
-    ops: u64,
-    seed: u64,
-) -> Cell {
-    let spec = ServiceSpec {
-        shards,
-        group_window,
-        buckets: 256,
-        key_seed: seed,
-        config: Some(report_config()),
-        ..ServiceSpec::new(shards)
-    };
-    let mut svc = KvService::create(&spec).expect("fleet create");
-    let reqs = generate_requests(seed, ops as usize, 1024, (8, 64), None, KvMix::UPDATE_HEAVY);
-    let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut latency = Histogram::new();
+    let mut barriers = 0u64;
     let t0 = svc.max_shard_time();
-    for chunk in reqs.chunks(64) {
+    for (n, chunk) in row.reqs.chunks(row.chunk).enumerate() {
+        let before = shard_clocks(&svc);
         let c0 = svc.max_shard_time();
-        let resps = svc.submit(chunk).expect("clean fleet run");
-        latency.record(svc.max_shard_time().since(c0).as_ns() / chunk.len() as u64);
+        let resps = svc.submit_as(TENANT, chunk).expect("clean serving run");
+        if row.mode == DurabilityMode::InMemory && n % 4 == 3 {
+            svc.barrier().expect("clean barrier");
+            barriers += 1;
+        }
+        latency.record(match row.latency {
+            Latency::ShardAdvance => shard_clocks(&svc)
+                .iter()
+                .zip(&before)
+                .map(|(end, start)| end.since(*start).as_ns())
+                .max()
+                .unwrap_or(0),
+            Latency::MakespanPerRequest => {
+                svc.max_shard_time().since(c0).as_ns() / chunk.len() as u64
+            }
+        });
         for (req, resp) in chunk.iter().zip(&resps) {
             match (req, resp) {
                 (Request::Put { key, value }, Response::Done) => {
@@ -363,22 +319,40 @@ fn run_fleet_cell(
     let [nvm_writes, pmw, emw, wpq] = write_totals(&svc);
     let groups = svc.merged_group_stats();
 
-    svc.shard_mem_mut(0).expect("shard 0").crash();
-    let (recovered, recovery_blocks_read, recovery_ns) = match svc.recover_shard(0) {
-        Ok(report) => (
-            report.persistent_recovered && svc.dump().map(|state| state == model).unwrap_or(false),
-            report.persistent_blocks_read + report.non_persistent_blocks_read,
-            report.estimated_duration.as_ns(),
-        ),
-        Err(_) => (false, 0, 0),
-    };
+    for i in 0..row.crash_shards {
+        svc.shard_mem_mut(i)
+            .expect("crashed shard in range")
+            .crash();
+    }
+    let (mut recovered, mut within_bound) = (true, true);
+    let (mut recovery_blocks_read, mut recovery_ns, mut mutations_lost) = (0u64, 0u64, 0u64);
+    for i in 0..row.crash_shards {
+        match svc.recover_shard(i) {
+            Ok(report) => {
+                let d = report
+                    .durability
+                    .expect("service recovery always carries a durability report");
+                within_bound &= d.within_bound();
+                recovered &= report.persistent_recovered && d.mode == row.mode.tier_name();
+                recovery_blocks_read +=
+                    report.persistent_blocks_read + report.non_persistent_blocks_read;
+                recovery_ns = recovery_ns.max(report.estimated_duration.as_ns());
+                mutations_lost += d.mutations_lost;
+            }
+            Err(_) => (recovered, within_bound) = (false, false),
+        }
+    }
+    recovered &= within_bound;
+    if row.mode == DurabilityMode::Strict {
+        recovered = recovered && svc.dump().map(|state| state == model).unwrap_or(false);
+    }
 
     Cell {
-        workload,
-        scheme: spec.scheme,
-        ops: reqs.len() as u64,
+        workload: row.workload,
+        scheme: row.spec.scheme,
+        ops: row.reqs.len() as u64,
         throughput: if elapsed > 0.0 {
-            reqs.len() as f64 / elapsed
+            row.reqs.len() as f64 / elapsed
         } else {
             0.0
         },
@@ -390,111 +364,20 @@ fn run_fleet_cell(
         recovered,
         recovery_blocks_read,
         recovery_ns,
-        fleet: Some(FleetExtra {
-            shards,
-            group_window,
-            mutations: groups.ops,
-            group_flushes: groups.flushes,
-            log_records: groups.log_records,
-            commit_markers: groups.commit_markers,
-            shed: groups.shed,
-        }),
-        mode: None,
-        recov: None,
-    }
-}
-
-/// A durability-mode cell: one tenant driven through the sharded
-/// [`KvService`] under a single tier of the durability contract
-/// (`docs/durability-contract.md`), on the same seeded request
-/// schedule as the fleet rows. InMemory rows insert a barrier every
-/// fourth chunk so staged work keeps promoting instead of growing an
-/// unbounded overlay. After the run shard 0 is crashed *with work
-/// still staged* — no final flush or barrier — and recovered; the
-/// `recovered` column demands the recovery report name the tier the
-/// tenant actually ran under and measure a loss within that tier's
-/// bound (invariant D7), and the `durability` JSON object records the
-/// measurement.
-fn run_mode_cell(workload: &'static str, mode: DurabilityMode, ops: u64, seed: u64) -> Cell {
-    let spec = ServiceSpec {
-        shards: 2,
-        group_window: 8,
-        buckets: 256,
-        key_seed: seed,
-        config: Some(report_config()),
-        ..ServiceSpec::new(2)
-    };
-    let mut svc = KvService::create(&spec).expect("mode cell create");
-    svc.set_tenant_mode(1, mode);
-    let reqs = generate_requests(seed, ops as usize, 1024, (8, 64), None, KvMix::UPDATE_HEAVY);
-    let mut latency = Histogram::new();
-    let mut barriers = 0u64;
-    let t0 = svc.max_shard_time();
-    for (n, chunk) in reqs.chunks(64).enumerate() {
-        let c0 = svc.max_shard_time();
-        svc.submit_as(1, chunk).expect("clean mode run");
-        if matches!(mode, DurabilityMode::InMemory) && n % 4 == 3 {
-            svc.barrier().expect("clean barrier");
-            barriers += 1;
-        }
-        latency.record(svc.max_shard_time().since(c0).as_ns() / chunk.len() as u64);
-    }
-    let elapsed = svc.max_shard_time().since(t0).as_secs_f64();
-    let [nvm_writes, pmw, emw, wpq] = write_totals(&svc);
-
-    svc.shard_mem_mut(0).expect("shard 0").crash();
-    let (recovered, recovery_blocks_read, recovery_ns, extra) = match svc.recover_shard(0) {
-        Ok(report) => {
-            let d = report
-                .durability
-                .expect("service recovery always carries a durability report");
-            (
-                report.persistent_recovered && d.mode == mode.tier_name() && d.within_bound(),
-                report.persistent_blocks_read + report.non_persistent_blocks_read,
-                report.estimated_duration.as_ns(),
-                ModeExtra {
-                    tier: d.mode,
-                    barriers,
-                    mutations_lost: d.mutations_lost,
-                    loss_bound: d.loss_bound,
-                    within_bound: d.within_bound(),
-                },
-            )
-        }
-        Err(_) => (
-            false,
-            0,
-            0,
-            ModeExtra {
-                tier: mode.tier_name(),
+        extra: match row.extra {
+            ServeExtra::None => Extra::None,
+            ServeExtra::Fleet => Extra::Fleet(FleetExtra {
+                shards: row.spec.shards,
+                group_window: row.spec.group_window,
+                groups,
+            }),
+            ServeExtra::Durability => Extra::Durability(ModeExtra {
+                mode: row.mode,
                 barriers,
-                mutations_lost: 0,
-                loss_bound: mode.loss_bound(),
-                within_bound: false,
-            },
-        ),
-    };
-
-    Cell {
-        workload,
-        scheme: spec.scheme,
-        ops: reqs.len() as u64,
-        throughput: if elapsed > 0.0 {
-            reqs.len() as f64 / elapsed
-        } else {
-            0.0
+                mutations_lost,
+                within_bound,
+            }),
         },
-        latency,
-        nvm_writes,
-        persist_metadata_writes: pmw,
-        evict_metadata_writes: emw,
-        wpq_full_events: wpq,
-        recovered,
-        recovery_blocks_read,
-        recovery_ns,
-        fleet: None,
-        mode: Some(extra),
-        recov: None,
     }
 }
 
@@ -556,9 +439,7 @@ fn run_recov_cell(
         recovered,
         recovery_blocks_read: 0,
         recovery_ns: 0,
-        fleet: None,
-        mode: None,
-        recov: Some(RecovExtra {
+        extra: Extra::Recov(RecovExtra {
             threads: threads as u64,
             steps: out.steps,
             thread_crashes: out.thread_crashes,
@@ -618,42 +499,47 @@ fn render_json(cells: &[Cell], ops: u64, seed: u64, smoke: bool) -> String {
             c.recovery_blocks_read,
             c.recovery_ns,
         );
-        if let Some(f) = &c.fleet {
-            let _ = write!(
-                out,
-                ", \"fleet\": {{ \"shards\": {}, \"group_window\": {}, \"mutations\": {}, \
-                 \"group_flushes\": {}, \"log_records\": {}, \"commit_markers\": {}, \
-                 \"markers_per_mutation\": {:.4}, \"shed\": {} }}",
-                f.shards,
-                f.group_window,
-                f.mutations,
-                f.group_flushes,
-                f.log_records,
-                f.commit_markers,
-                f.markers_per_mutation(),
-                f.shed,
-            );
-        }
-        if let Some(m) = &c.mode {
-            let _ = write!(
-                out,
-                ", \"durability\": {{ \"tier\": \"{}\", \"barriers\": {}, \
-                 \"mutations_lost\": {}, \"loss_bound\": {}, \"within_bound\": {} }}",
-                m.tier,
-                m.barriers,
-                m.mutations_lost,
-                m.loss_bound
-                    .map_or_else(|| "null".to_string(), |b| b.to_string()),
-                m.within_bound,
-            );
-        }
-        if let Some(r) = &c.recov {
-            let _ = write!(
-                out,
-                ", \"recov\": {{ \"threads\": {}, \"steps\": {}, \"thread_crashes\": {}, \
-                 \"engine_crashes\": {}, \"persists_per_op\": {:.4} }}",
-                r.threads, r.steps, r.thread_crashes, r.engine_crashes, r.persists_per_op,
-            );
+        match &c.extra {
+            Extra::None => {}
+            Extra::Fleet(f) => {
+                let g = &f.groups;
+                let _ = write!(
+                    out,
+                    ", \"fleet\": {{ \"shards\": {}, \"group_window\": {}, \"mutations\": {}, \
+                     \"group_flushes\": {}, \"log_records\": {}, \"commit_markers\": {}, \
+                     \"markers_per_mutation\": {:.4}, \"shed\": {} }}",
+                    f.shards,
+                    f.group_window,
+                    g.ops,
+                    g.flushes,
+                    g.log_records,
+                    g.commit_markers,
+                    f.markers_per_mutation(),
+                    g.shed,
+                );
+            }
+            Extra::Durability(m) => {
+                let _ = write!(
+                    out,
+                    ", \"durability\": {{ \"tier\": \"{}\", \"barriers\": {}, \
+                     \"mutations_lost\": {}, \"loss_bound\": {}, \"within_bound\": {} }}",
+                    m.mode.tier_name(),
+                    m.barriers,
+                    m.mutations_lost,
+                    m.mode
+                        .loss_bound()
+                        .map_or_else(|| "null".to_string(), |b| b.to_string()),
+                    m.within_bound,
+                );
+            }
+            Extra::Recov(r) => {
+                let _ = write!(
+                    out,
+                    ", \"recov\": {{ \"threads\": {}, \"steps\": {}, \"thread_crashes\": {}, \
+                     \"engine_crashes\": {}, \"persists_per_op\": {:.4} }}",
+                    r.threads, r.steps, r.thread_crashes, r.engine_crashes, r.persists_per_op,
+                );
+            }
         }
         out.push_str(" }");
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
@@ -716,23 +602,23 @@ fn main() {
     // The fixed matrix: the PMDK persistent structures plus the four
     // MIX workloads, i.e. every trace with a persistent-store component
     // (pure SPEC lanes exercise no persists and tell the schemes apart
-    // far less) — plus the two triad-kv rows (`kv-zipf`,
-    // `kv-uniform`), which are driven through `run_kv_cell` and carry
-    // the oracle-verified recovery column.
-    let workloads: &[&'static str] = if smoke {
-        &["hashtable", "mix1", "kv-zipf"]
+    // far less), then the two triad-kv rows, keyed by their Zipf
+    // exponent (`None` = uniform keys).
+    let (traces, kv_rows): (&[&'static str], &[(&'static str, Option<f64>)]) = if smoke {
+        (&["hashtable", "mix1"], &[("kv-zipf", Some(0.99))])
     } else {
-        &[
-            "hashtable",
-            "queue",
-            "arrayswap",
-            "mix1",
-            "mix2",
-            "mix3",
-            "mix4",
-            "kv-zipf",
-            "kv-uniform",
-        ]
+        (
+            &[
+                "hashtable",
+                "queue",
+                "arrayswap",
+                "mix1",
+                "mix2",
+                "mix3",
+                "mix4",
+            ],
+            &[("kv-zipf", Some(0.99)), ("kv-uniform", None)],
+        )
     };
     // Recov rows keep full depth even under --smoke (they are cheap,
     // and identical specs make the smoke rows exact replicas of the
@@ -742,31 +628,92 @@ fn main() {
     let ops = ops.unwrap_or(if smoke { 800 } else { 4000 });
 
     let mut cells = Vec::new();
-    for w in workloads {
+    for &w in traces {
         for s in schemes() {
-            cells.push(if w.starts_with("kv-") {
-                run_kv_cell(w, s, ops, seed)
-            } else {
-                run_cell(w, s, ops, seed)
-            });
+            cells.push(run_cell(w, s, ops, seed));
         }
     }
 
-    // The serving rows sweep shard count (not scheme) on one seeded
-    // request schedule: `fleet-1/2/4` share a window-8 group commit so
-    // their throughput column is the scaling curve, and `fleet-nogc`
-    // repeats `fleet-4` unbatched (window 1) so the
-    // `markers_per_mutation` gap is group commit's amortization.
+    // The kv rows: 8–256 B values over 1024 keys in a 4:9:2:1
+    // put/get/delete/scan mix, one request per submit to a four-shard
+    // service under each scheme. Group window 1 makes every mutation a
+    // one-mutation group commit, and every shard is crashed afterwards.
+    for &(workload, zipf_s) in kv_rows {
+        let reqs = generate_requests(
+            seed,
+            ops as usize,
+            1024,
+            (8, 256),
+            zipf_s,
+            KvMix::READ_HEAVY,
+        );
+        for scheme in schemes() {
+            cells.push(serve_row(ServeRow {
+                workload,
+                spec: ServiceSpec {
+                    group_window: 1,
+                    scheme,
+                    key_seed: seed,
+                    config: Some(report_config()),
+                    ..ServiceSpec::new(4)
+                },
+                mode: DurabilityMode::Strict,
+                reqs: &reqs,
+                chunk: 1,
+                crash_shards: 4,
+                latency: Latency::ShardAdvance,
+                extra: ServeExtra::None,
+            }));
+        }
+    }
+
+    // The fleet and mode rows share one update-heavy schedule (8–64 B
+    // values over 1024 keys) in 64-request submits on TriadNVM-2, and
+    // crash only shard 0.
+    let serving = generate_requests(seed, ops as usize, 1024, (8, 64), None, KvMix::UPDATE_HEAVY);
+    let serving_row = |workload: &'static str,
+                       shards: u64,
+                       group_window: usize,
+                       mode: DurabilityMode,
+                       extra: ServeExtra| ServeRow {
+        workload,
+        spec: ServiceSpec {
+            group_window,
+            buckets: 256,
+            key_seed: seed,
+            config: Some(report_config()),
+            ..ServiceSpec::new(shards)
+        },
+        mode,
+        reqs: &serving,
+        chunk: 64,
+        crash_shards: 1,
+        latency: Latency::MakespanPerRequest,
+        extra,
+    };
+
+    // The fleet rows sweep shard count (not scheme): `fleet-1/2/4`
+    // share a window-8 group commit so their throughput column is the
+    // scaling curve, and `fleet-nogc` repeats `fleet-4` unbatched
+    // (window 1) so the `markers_per_mutation` gap is group commit's
+    // amortization.
     for (label, shards, window) in [
         ("fleet-1", 1, 8),
         ("fleet-2", 2, 8),
         ("fleet-4", 4, 8),
         ("fleet-nogc", 4, 1),
     ] {
-        cells.push(run_fleet_cell(label, shards, window, ops, seed));
+        let row = serving_row(
+            label,
+            shards,
+            window,
+            DurabilityMode::Strict,
+            ServeExtra::Fleet,
+        );
+        cells.push(serve_row(row));
     }
 
-    // The durability-mode rows run one tenant under each tier of the
+    // The durability-mode rows run the tenant under each tier of the
     // contract on a two-shard service, crash shard 0 with work still
     // staged, and let recovery measure the loss against the tier's
     // bound: the throughput spread is the price of each guarantee and
@@ -776,7 +723,13 @@ fn main() {
         ("mode-buffered", DurabilityMode::buffered_default()),
         ("mode-inmemory", DurabilityMode::InMemory),
     ] {
-        cells.push(run_mode_cell(label, mode, ops, seed));
+        cells.push(serve_row(serving_row(
+            label,
+            2,
+            8,
+            mode,
+            ServeExtra::Durability,
+        )));
     }
 
     // The recov rows sweep thread count (not scheme) for the two

@@ -853,15 +853,6 @@ impl KvService {
         self.lanes.iter().map(|l| l.mem.stats().persists).sum()
     }
 
-    /// Summed metadata persist writes across shards (the bench-delta
-    /// crypto-overhead metric).
-    pub fn total_persist_metadata_writes(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.mem.stats().persist_metadata_writes())
-            .sum()
-    }
-
     /// One shard's engine (crash arming, stats).
     pub fn shard_mem(&self, i: usize) -> Option<&SecureMemory> {
         self.lanes.get(i).map(|l| &l.mem)
@@ -870,11 +861,6 @@ impl KvService {
     /// One shard's engine, mutably (crash injection).
     pub fn shard_mem_mut(&mut self, i: usize) -> Option<&mut SecureMemory> {
         self.lanes.get_mut(i).map(|l| &mut l.mem)
-    }
-
-    /// One shard's store (stats, event wiring).
-    pub fn shard_store_mut(&mut self, i: usize) -> Option<&mut KvStore> {
-        self.lanes.get_mut(i).map(|l| &mut l.store)
     }
 
     /// The explicit Strict barrier: every lane drains its durable-tier
@@ -1569,6 +1555,32 @@ mod tests {
             DurabilityMode::Strict,
             "others keep the default"
         );
+    }
+
+    #[test]
+    fn strict_override_runs_like_the_default_tenant() {
+        // A tenant overridden to Strict must be indistinguishable from
+        // the default tenant: the report drives every serving row as
+        // one overridden tenant and relies on this.
+        let reqs = schedule(11, 160, 48);
+        let mut default = KvService::create(&spec(3)).unwrap();
+        let mut overridden = KvService::create(&spec(3)).unwrap();
+        overridden.set_tenant_mode(5, DurabilityMode::Strict);
+        for chunk in reqs.chunks(16) {
+            assert_eq!(
+                default.submit(chunk).unwrap(),
+                overridden.submit_as(5, chunk).unwrap()
+            );
+        }
+        assert!(reqs.contains(&Request::Scan), "the schedule scans");
+        assert_eq!(
+            default.merged_group_stats(),
+            overridden.merged_group_stats()
+        );
+        assert_eq!(default.merged_kv_stats(), overridden.merged_kv_stats());
+        assert_eq!(default.max_shard_time(), overridden.max_shard_time());
+        assert_eq!(default.total_persists(), overridden.total_persists());
+        assert_eq!(default.dump().unwrap(), overridden.dump().unwrap());
     }
 
     #[test]
