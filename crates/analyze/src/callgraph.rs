@@ -1,7 +1,7 @@
 //! Call graph: structural call-site extraction (`name(...)` — an
 //! identifier directly followed by a parenthesis group) resolved
 //! through the [`crate::symbols::SymbolTable`]. Method calls
-//! (`self.l3_touch(...)`), free calls and `Self::op(...)` paths all
+//! (`self.l3_access(...)`), free calls and `Self::op(...)` paths all
 //! end in the same `ident (args)` shape, so one pattern covers them;
 //! macro invocations (`vec![]`, `panic!(...)`) have a `!` between the
 //! name and the group and are naturally excluded.

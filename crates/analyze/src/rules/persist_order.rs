@@ -1,8 +1,9 @@
 //! `persist-order`: the mechanized form of PR 1's manual audit, since
 //! v2 an *interprocedural* workspace rule. Every public `&mut self`
 //! engine operation that (transitively) feeds the metadata eviction
-//! queue — counter / MAC / BMT write-backs scheduled by the `*_touch`
-//! and `ensure_*` helpers — must drain that queue before succeeding;
+//! queue — counter / MAC / BMT write-backs scheduled by the cache fills
+//! (`l3_access`, `l3_store`, `ctr_put`, `mt_put`) and the `ensure_*`
+//! helpers — must drain that queue before succeeding;
 //! otherwise a crash after the `Ok` return loses queued persists and
 //! the recovered BMT disagrees with data NVM, the exact TriadNVM-2
 //! regression PR 1 fixed.
@@ -12,7 +13,7 @@
 //! `impl SecureMemory` (or `impl KvStore`) in `crates/{core,kv,mem}`
 //! is audited wherever it lives, and the gate is the inferred effect
 //! set — a public op whose persist effects arrive three calls deep is
-//! audited exactly like one that calls `l3_touch` directly.
+//! audited exactly like one that calls `mt_put` directly.
 //!
 //! The walk itself keeps the v1 semantics (they are fixture-locked):
 //! a queue-vocabulary call sets a `pending` bit, `drain_evictions`

@@ -1,11 +1,15 @@
 //! Set-associative cache models for the Triad-NVM simulator.
 //!
-//! A [`Cache`] tracks *presence and dirtiness* of 64-byte blocks — the
-//! authoritative data always lives in the functional backing store (or,
-//! for security metadata, in the metadata stores of `triad-core`).
-//! This split keeps the timing model honest (hits, misses, evictions
-//! and write-backs all happen exactly where a hardware cache would
-//! produce them) without duplicating data movement.
+//! A [`Cache`] tracks the presence, dirtiness and replacement order of
+//! 64-byte blocks, and can hold each line's *value* beside its tag: a
+//! `Cache<V>` keeps one `V` per way, sized by the geometry at
+//! construction, so a hit finds tag and value in one set scan and a
+//! victim leaves carrying the value it held. The secure engine's
+//! on-chip caches hold their values this way (L3 plaintext, counter
+//! blocks, Merkle-tree nodes and MAC blocks); the per-core L1/L2 model
+//! timing only and are `Cache<()>`, whose value slots take no space.
+//! Either way hits, misses, evictions and write-backs happen exactly
+//! where a hardware cache would produce them.
 //!
 //! The same type models every array in Table 1: the per-core L1/L2, the
 //! shared L3, the 128 KB counter cache and the 128 KB Merkle-tree cache.
@@ -22,6 +26,12 @@
 //! assert!(!first.hit);
 //! let again = l1.access(BlockAddr(0), false);
 //! assert!(again.hit);
+//!
+//! // A value-holding cache: the victim leaves with its value.
+//! let mut dm = Cache::with_values("dm", CacheConfig::new(64, 1, 1), Replacement::Lru, 0u32);
+//! *dm.access_value(BlockAddr(0), true).value = 7;
+//! let fill = dm.access_value(BlockAddr(1), false);
+//! assert_eq!(fill.victim.map(|v| (v.addr, v.value)), Some((BlockAddr(0), 7)));
 //! ```
 
 #![warn(missing_docs)]
@@ -74,6 +84,30 @@ pub struct AccessOutcome {
     pub victim: Option<Victim>,
 }
 
+/// A block evicted from a value-holding cache, with the value its line
+/// held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Evicted<V> {
+    /// Address of the evicted block.
+    pub addr: BlockAddr,
+    /// Whether it was dirty (must be written back downstream).
+    pub dirty: bool,
+    /// The evicted line's value.
+    pub value: V,
+}
+
+/// Result of [`Cache::access_value`].
+#[derive(Debug)]
+pub struct ValueAccess<'a, V> {
+    /// Whether the block was already present.
+    pub hit: bool,
+    /// The accessed line's value: the stored value on a hit, the
+    /// cache's empty value after a miss (the fill is the caller's).
+    pub value: &'a mut V,
+    /// Block evicted by the fill (only on misses in full sets).
+    pub victim: Option<Evicted<V>>,
+}
+
 /// Per-cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -115,15 +149,19 @@ impl CacheStats {
     }
 }
 
-/// A write-back, write-allocate set-associative cache.
+/// A write-back, write-allocate set-associative cache whose lines hold
+/// a value of type `V` (`()` for a cache that models timing only).
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub struct Cache<V = ()> {
     name: String,
     sets: usize,
     ways: usize,
     latency: Duration,
     policy: Replacement,
     lines: Vec<Line>,
+    /// One value per line, beside `lines`; an invalid line holds `empty`.
+    values: Vec<V>,
+    empty: V,
     clock: u64,
     rng: SplitMix64,
     stats: CacheStats,
@@ -137,11 +175,45 @@ impl Cache {
     /// Panics if the configured size is not an exact number of sets
     /// (see [`CacheConfig::sets`]).
     pub fn new(name: impl Into<String>, config: CacheConfig, policy: Replacement) -> Self {
+        Cache::with_values(name, config, policy, ())
+    }
+
+    /// Accesses `block`; on a miss the block is allocated, possibly
+    /// evicting a victim which the caller must handle (write back if
+    /// dirty). `write` marks the block dirty.
+    pub fn access(&mut self, block: BlockAddr, write: bool) -> AccessOutcome {
+        let (_, hit, victim) = self.access_slot(block, write);
+        AccessOutcome {
+            hit,
+            victim: victim.map(|v| Victim {
+                addr: v.addr,
+                dirty: v.dirty,
+            }),
+        }
+    }
+}
+
+impl<V: Clone> Cache<V> {
+    /// Creates a value-holding cache with the given geometry and
+    /// replacement policy. Every line's value starts as `empty`, and a
+    /// line holds `empty` again whenever it is invalid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured size is not an exact number of sets
+    /// (see [`CacheConfig::sets`]).
+    pub fn with_values(
+        name: impl Into<String>,
+        config: CacheConfig,
+        policy: Replacement,
+        empty: V,
+    ) -> Self {
         let sets = config.sets();
         let name = name.into();
         let seed = name
             .bytes()
             .fold(0xC0FF_EE00u64, |acc, b| acc.rotate_left(7) ^ b as u64);
+        let rng = SplitMix64::new(seed);
         Cache {
             name,
             sets,
@@ -149,8 +221,10 @@ impl Cache {
             latency: config.latency,
             policy,
             lines: vec![Line::default(); sets * config.ways],
+            values: vec![empty.clone(); sets * config.ways],
+            empty,
             clock: 0,
-            rng: SplitMix64::new(seed),
+            rng,
             stats: CacheStats::default(),
         }
     }
@@ -174,57 +248,48 @@ impl Cache {
         (block.0 % self.sets as u64) as usize
     }
 
-    fn set_lines(&mut self, set: usize) -> &mut [Line] {
-        &mut self.lines[set * self.ways..(set + 1) * self.ways]
+    /// Index of `block`'s line in `lines`/`values`, if present.
+    fn find(&self, block: BlockAddr) -> Option<usize> {
+        let base = self.set_of(block) * self.ways;
+        self.lines[base..base + self.ways]
+            .iter()
+            .position(|l| l.valid && l.tag == block.0)
+            .map(|way| base + way)
     }
 
-    /// Accesses `block`; on a miss the block is allocated, possibly
-    /// evicting a victim which the caller must handle (write back if
-    /// dirty). `write` marks the block dirty.
-    pub fn access(&mut self, block: BlockAddr, write: bool) -> AccessOutcome {
+    /// Counts a hit on line `i` and refreshes its replacement state.
+    fn hit_line(&mut self, i: usize, write: bool) {
         self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_of(block);
-        let policy = self.policy;
-        let ways = self.ways;
-        // Probe for a hit.
-        let lines = self.set_lines(set);
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == block.0) {
-            if policy == Replacement::Lru {
-                line.stamp = clock;
-            }
-            line.dirty |= write;
-            if write {
-                self.stats.write_hits += 1;
-            } else {
-                self.stats.read_hits += 1;
-            }
-            return AccessOutcome {
-                hit: true,
-                victim: None,
-            };
+        let line = &mut self.lines[i];
+        if self.policy == Replacement::Lru {
+            line.stamp = self.clock;
         }
-        // Miss: pick a victim way.
-        let way = {
-            let lines = self.set_lines(set);
-            match lines.iter().position(|l| !l.valid) {
-                Some(free) => free,
-                None => match policy {
-                    Replacement::Lru | Replacement::Fifo => lines
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.stamp)
-                        .map(|(i, _)| i)
-                        .expect("ways >= 1"),
-                    Replacement::Random => self.rng.below(ways as u64) as usize,
-                },
-            }
-        };
-        let line = &mut self.set_lines(set)[way];
+        line.dirty |= write;
+        if write {
+            self.stats.write_hits += 1;
+        } else {
+            self.stats.read_hits += 1;
+        }
+    }
+
+    /// The access behind [`Cache::access`] and [`Cache::access_value`]:
+    /// returns the accessed line's index, whether it hit, and the
+    /// victim of a miss.
+    fn access_slot(&mut self, block: BlockAddr, write: bool) -> (usize, bool, Option<Evicted<V>>) {
+        if let Some(i) = self.find(block) {
+            self.hit_line(i, write);
+            return (i, true, None);
+        }
+        self.clock += 1;
+        let base = self.set_of(block) * self.ways;
+        let set = &self.lines[base..base + self.ways];
+        let i = base + fill_way(set, self.policy, |ways| self.rng.below(ways));
+        let line = &mut self.lines[i];
         let victim = if line.valid {
-            Some(Victim {
+            Some(Evicted {
                 addr: BlockAddr(line.tag),
                 dirty: line.dirty,
+                value: std::mem::replace(&mut self.values[i], self.empty.clone()),
             })
         } else {
             None
@@ -233,72 +298,121 @@ impl Cache {
             tag: block.0,
             valid: true,
             dirty: write,
-            stamp: clock,
+            stamp: self.clock,
         };
         if write {
             self.stats.write_misses += 1;
         } else {
             self.stats.read_misses += 1;
         }
-        if let Some(v) = victim {
+        if let Some(v) = &victim {
             self.stats.evictions += 1;
             if v.dirty {
                 self.stats.dirty_evictions += 1;
             }
         }
-        AccessOutcome { hit: false, victim }
+        (i, false, victim)
+    }
+
+    /// Accesses `block` like [`Cache::access`] and returns its line's
+    /// value; on a miss the victim leaves carrying its value, and the
+    /// new line holds the empty value until the caller fills it.
+    pub fn access_value(&mut self, block: BlockAddr, write: bool) -> ValueAccess<'_, V> {
+        let (i, hit, victim) = self.access_slot(block, write);
+        ValueAccess {
+            hit,
+            value: &mut self.values[i],
+            victim,
+        }
+    }
+
+    /// Accesses `block` only if it is present: a hit is counted and
+    /// refreshes replacement state exactly as [`Cache::access`] does,
+    /// and returns the line's value; a miss changes nothing (no
+    /// statistics, no allocation) and returns `None`.
+    pub fn touch(&mut self, block: BlockAddr, write: bool) -> Option<&mut V> {
+        let i = self.find(block)?;
+        self.hit_line(i, write);
+        Some(&mut self.values[i])
+    }
+
+    /// The value of `block`, if present, without disturbing replacement
+    /// state or statistics.
+    pub fn value(&self, block: BlockAddr) -> Option<&V> {
+        self.find(block).map(|i| &self.values[i])
+    }
+
+    /// Mutable value of `block`, if present, without disturbing
+    /// replacement state, dirtiness or statistics.
+    pub fn value_mut(&mut self, block: BlockAddr) -> Option<&mut V> {
+        self.find(block).map(|i| &mut self.values[i])
+    }
+
+    /// The value of `block` if it is present *and dirty*.
+    pub fn dirty_value(&self, block: BlockAddr) -> Option<&V> {
+        self.find(block)
+            .filter(|&i| self.lines[i].dirty)
+            .map(|i| &self.values[i])
+    }
+
+    /// The line an access of `block` would evict, with its value, or
+    /// `None` when the access would hit or fill a free way. Disturbs
+    /// nothing: the next access of `block` evicts exactly this line
+    /// unless the cache changes in between.
+    pub fn would_evict(&self, block: BlockAddr) -> Option<(BlockAddr, &V)> {
+        if self.find(block).is_some() {
+            return None;
+        }
+        let base = self.set_of(block) * self.ways;
+        let set = &self.lines[base..base + self.ways];
+        let i = base + fill_way(set, self.policy, |ways| self.rng.peek_below(ways));
+        let line = &self.lines[i];
+        line.valid.then(|| (BlockAddr(line.tag), &self.values[i]))
     }
 
     /// Whether `block` is present, without disturbing replacement state
     /// or statistics.
     pub fn probe(&self, block: BlockAddr) -> bool {
-        let set = self.set_of(block);
-        self.lines[set * self.ways..(set + 1) * self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == block.0)
+        self.value(block).is_some()
     }
 
     /// Whether `block` is present *and dirty*.
     pub fn probe_dirty(&self, block: BlockAddr) -> bool {
-        let set = self.set_of(block);
-        self.lines[set * self.ways..(set + 1) * self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == block.0 && l.dirty)
+        self.dirty_value(block).is_some()
     }
 
     /// Writes back `block` if present and dirty (clwb semantics: the
     /// line stays valid but becomes clean). Returns whether a
     /// write-back was generated.
     pub fn flush(&mut self, block: BlockAddr) -> bool {
-        let set = self.set_of(block);
-        for l in self.set_lines(set) {
-            if l.valid && l.tag == block.0 && l.dirty {
-                l.dirty = false;
+        match self.find(block) {
+            Some(i) if self.lines[i].dirty => {
+                self.lines[i].dirty = false;
                 self.stats.flushes += 1;
-                return true;
+                true
             }
+            _ => false,
         }
-        false
     }
 
-    /// Invalidates `block` if present, returning whether it was dirty.
+    /// Invalidates `block` if present, dropping its value, and returns
+    /// whether it was dirty.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let set = self.set_of(block);
-        for l in self.set_lines(set) {
-            if l.valid && l.tag == block.0 {
-                let dirty = l.dirty;
-                *l = Line::default();
-                return Some(dirty);
-            }
-        }
-        None
+        let i = self.find(block)?;
+        let dirty = self.lines[i].dirty;
+        self.lines[i] = Line::default();
+        self.values[i] = self.empty.clone();
+        Some(dirty)
     }
 
-    /// Drops every line (a power loss: volatile contents vanish).
-    /// Dirty lines are *lost*, not written back — that is the point of
-    /// the paper's crash experiments.
+    /// Drops every line and its value (a power loss: volatile contents
+    /// vanish). Dirty lines are *lost*, not written back — that is the
+    /// point of the paper's crash experiments.
     pub fn lose_all(&mut self) {
-        for l in &mut self.lines {
+        for (l, v) in self.lines.iter_mut().zip(&mut self.values) {
+            if l.valid {
+                *v = self.empty.clone();
+            }
             *l = Line::default();
         }
     }
@@ -318,7 +432,24 @@ impl Cache {
     }
 }
 
-impl StatRegister for Cache {
+/// The way of `set` a miss fills: its first free way, else the
+/// policy's choice (`draw(ways)` for `Random`, called only then).
+fn fill_way(set: &[Line], policy: Replacement, draw: impl FnOnce(u64) -> u64) -> usize {
+    match set.iter().position(|l| !l.valid) {
+        Some(free) => free,
+        None => match policy {
+            Replacement::Lru | Replacement::Fifo => set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.stamp)
+                .map(|(i, _)| i)
+                .expect("ways >= 1"),
+            Replacement::Random => draw(set.len() as u64) as usize,
+        },
+    }
+}
+
+impl<V> StatRegister for Cache<V> {
     fn register(&self, scope: &mut Scope<'_>) {
         let s = &self.stats;
         scope.set("read_hits", s.read_hits);

@@ -1,7 +1,7 @@
 //! Model-based property tests: the set-associative cache against a
 //! simple per-set reference model.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use triad_cache::{Cache, Replacement};
 use triad_sim::config::CacheConfig;
 use triad_sim::prop::{check, check_ops, Config};
@@ -179,4 +179,210 @@ fn every_dirty_block_was_written() {
         }
         Ok(())
     });
+}
+
+#[derive(Debug, Clone)]
+enum ValueOp {
+    /// `access_value`, then store `store` into the line if given.
+    Access {
+        addr: u64,
+        write: bool,
+        store: Option<u32>,
+    },
+    /// Hit-only `touch`.
+    Touch {
+        addr: u64,
+        write: bool,
+    },
+    Invalidate {
+        addr: u64,
+    },
+    LoseAll,
+}
+
+fn gen_value_op(rng: &mut SplitMix64, addr_space: u64) -> ValueOp {
+    let addr = rng.gen_range(0..addr_space);
+    let write = rng.gen_bool(0.5);
+    match rng.gen_range(0..32) {
+        0..=21 => ValueOp::Access {
+            addr,
+            write,
+            store: rng.gen_bool(0.7).then(|| rng.next_u32() | 1),
+        },
+        22..=27 => ValueOp::Touch { addr, write },
+        28..=30 => ValueOp::Invalidate { addr },
+        _ => ValueOp::LoseAll,
+    }
+}
+
+/// A value-holding cache against a `BTreeMap` of resident values plus a
+/// per-set replacement model: per set, (tag, dirty) in eviction order
+/// (next victim first) for LRU and FIFO; for Random the model only
+/// requires the victim to be a resident line of the full set.
+fn run_values_against_model(
+    ops: &[ValueOp],
+    sets: usize,
+    ways: usize,
+    policy: Replacement,
+) -> Result<(), String> {
+    const EMPTY: u32 = 0;
+    let mut cache = Cache::with_values(
+        "v",
+        CacheConfig::new(sets * ways * 64, ways, 1),
+        policy,
+        EMPTY,
+    );
+    let mut values: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut order: Vec<Vec<(u64, bool)>> = vec![Vec::new(); sets];
+    for op in ops {
+        match *op {
+            ValueOp::Access { addr, write, store } => {
+                let set = &mut order[addr as usize % sets];
+                let predicted = cache.would_evict(BlockAddr(addr)).map(|(a, &v)| (a, v));
+                let fill = cache.access_value(BlockAddr(addr), write);
+                match set.iter().position(|(t, _)| *t == addr) {
+                    Some(i) => {
+                        ensure!(fill.hit, "{policy:?}: addr {addr} missed while resident");
+                        ensure!(fill.victim.is_none(), "{policy:?}: victim on a hit");
+                        ensure!(predicted.is_none(), "{policy:?}: predicted victim on a hit");
+                        ensure!(
+                            *fill.value == values[&addr],
+                            "{policy:?}: hit on {addr} returned {} not {}",
+                            fill.value,
+                            values[&addr]
+                        );
+                        set[i].1 |= write;
+                        if policy == Replacement::Lru {
+                            let line = set.remove(i);
+                            set.push(line);
+                        }
+                    }
+                    None => {
+                        ensure!(!fill.hit, "{policy:?}: addr {addr} hit while absent");
+                        ensure!(
+                            *fill.value == EMPTY,
+                            "{policy:?}: new line {addr} holds {} not the empty value",
+                            fill.value
+                        );
+                        let victim = fill.victim.map(|v| (v.addr, v.dirty, v.value));
+                        if set.len() == ways {
+                            let (va, vd, vv) = victim.ok_or("full set evicted nothing")?;
+                            let i = match policy {
+                                Replacement::Lru | Replacement::Fifo => 0,
+                                Replacement::Random => set
+                                    .iter()
+                                    .position(|(t, _)| BlockAddr(*t) == va)
+                                    .ok_or(format!("random victim {va} was not resident"))?,
+                            };
+                            let (vt, dirty) = set.remove(i);
+                            ensure!(va == BlockAddr(vt), "{policy:?}: victim {va}, model {vt}");
+                            ensure!(vd == dirty, "{policy:?}: victim {vt} dirty {vd}");
+                            let model = values.remove(&vt).ok_or("victim has no model value")?;
+                            ensure!(
+                                vv == model,
+                                "{policy:?}: victim {vt} carried {vv} not {model}"
+                            );
+                            ensure!(
+                                predicted == Some((va, vv)),
+                                "{policy:?}: would_evict said {predicted:?}, access evicted {va}"
+                            );
+                        } else {
+                            ensure!(victim.is_none(), "{policy:?}: victim from a set with room");
+                            ensure!(predicted.is_none(), "{policy:?}: predicted a victim");
+                        }
+                        set.push((addr, write));
+                        values.insert(addr, EMPTY);
+                    }
+                }
+                if let Some(v) = store {
+                    *fill.value = v;
+                    values.insert(addr, v);
+                }
+            }
+            ValueOp::Touch { addr, write } => {
+                let set = &mut order[addr as usize % sets];
+                let got = cache.touch(BlockAddr(addr), write).map(|v| *v);
+                match set.iter().position(|(t, _)| *t == addr) {
+                    Some(i) => {
+                        ensure!(
+                            got == Some(values[&addr]),
+                            "{policy:?}: touch {addr} gave {got:?}"
+                        );
+                        set[i].1 |= write;
+                        if policy == Replacement::Lru {
+                            let line = set.remove(i);
+                            set.push(line);
+                        }
+                    }
+                    None => ensure!(got.is_none(), "{policy:?}: touch {addr} found a phantom"),
+                }
+            }
+            ValueOp::Invalidate { addr } => {
+                let set = &mut order[addr as usize % sets];
+                let inv = cache.invalidate(BlockAddr(addr));
+                match set.iter().position(|(t, _)| *t == addr) {
+                    Some(i) => {
+                        let (_, dirty) = set.remove(i);
+                        values.remove(&addr);
+                        ensure!(
+                            inv == Some(dirty),
+                            "{policy:?}: invalidate {addr} dirty bit"
+                        );
+                    }
+                    None => ensure!(inv.is_none(), "{policy:?}: invalidate {addr} phantom"),
+                }
+                ensure!(
+                    cache.value(BlockAddr(addr)).is_none(),
+                    "value survived invalidate"
+                );
+            }
+            ValueOp::LoseAll => {
+                cache.lose_all();
+                values.clear();
+                order.iter_mut().for_each(Vec::clear);
+                ensure!(cache.occupancy() == 0, "lines survived lose_all");
+            }
+        }
+        // Every resident value, and nothing else, is readable.
+        for addr in 0..64u64 {
+            let got = cache.value(BlockAddr(addr)).copied();
+            ensure!(
+                got == values.get(&addr).copied(),
+                "{policy:?}: value({addr}) = {got:?}, model {:?}",
+                values.get(&addr)
+            );
+            let dirty = order[addr as usize % sets]
+                .iter()
+                .any(|&(t, d)| t == addr && d);
+            ensure!(
+                cache.dirty_value(BlockAddr(addr)).is_some() == dirty,
+                "{policy:?}: dirty_value({addr}) disagrees"
+            );
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn value_cache_matches_reference_model() {
+    check_ops(
+        "value_cache_matches_reference_model",
+        Config::cases(48),
+        |rng| {
+            let len = rng.gen_range(1..400) as usize;
+            (0..len)
+                .map(|_| gen_value_op(rng, 64))
+                .collect::<Vec<ValueOp>>()
+        },
+        |ops, params| {
+            let ways = params.gen_range(1..5) as usize;
+            // A power-of-two set count and one that is not.
+            for sets in [4, 3] {
+                for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+                    run_values_against_model(ops, sets, ways, policy)?;
+                }
+            }
+            Ok(())
+        },
+    );
 }

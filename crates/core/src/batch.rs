@@ -44,7 +44,8 @@
 //! observe those values: at `commit_batch`, at `crash`, before an
 //! eager walk, before `bump_parent_slot`, before a counter or node
 //! fetch-and-verify, and before a counter-cache or MT-cache victim that
-//! is an unhashed leaf's counter or path node leaves the on-chip map.
+//! is an unhashed leaf's counter or path node is evicted (found before
+//! the fill, while its value is still in its own line).
 //! So the registers a crash leaves behind, and every byte that reaches
 //! NVM, are those of the eager walk.
 
@@ -265,9 +266,7 @@ impl SecureMemory {
         let t = self.run_batch(batch.members(), now, t0, |mem, block, data, _| {
             mem.stats.stores += 1;
             mem.stats.persists += 1;
-            mem.reclaim(block);
-            mem.plain.insert(block.0, data);
-            mem.l3_touch(block, true);
+            mem.l3_store(block, data);
             let done = mem.writeback_data(block, data, t0)?;
             mem.l3.flush(block);
             mem.drain_evictions(now)?;
@@ -482,9 +481,6 @@ impl SecureMemory {
             prefetcher,
             prefetch_reqs: reqs,
             path_nodes: nodes_at,
-            counters,
-            nodes,
-            macs,
             ctr_cache,
             mt_cache,
             evict_queue,
@@ -526,11 +522,8 @@ impl SecureMemory {
             let queued = evict_queue.iter().any(|e| e.addr() == addr);
             queued
                 || match class {
-                    PrefetchClass::Counter => {
-                        counters.contains_key(addr.0) || ctr_cache.probe(addr)
-                    }
-                    PrefetchClass::Mac => macs.contains_key(addr.0) || mt_cache.probe(addr),
-                    PrefetchClass::Node => nodes.contains_key(addr.0) || mt_cache.probe(addr),
+                    PrefetchClass::Counter => ctr_cache.probe(addr),
+                    PrefetchClass::Mac | PrefetchClass::Node => mt_cache.probe(addr),
                 }
         });
         emit(

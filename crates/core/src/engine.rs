@@ -11,8 +11,9 @@
 //! The NVM image ([`triad_mem::SparseStore`]) always holds
 //! *ciphertext* and *serialised metadata* — exactly the bytes a
 //! physical attacker could read or modify. Plaintext and current
-//! metadata values live in volatile maps mirroring the caches' resident
-//! sets; a [`SecureMemory::crash`] drops all of it, and
+//! metadata values live in the lines of the on-chip caches that hold
+//! them (L3, counter cache, MT cache); a [`SecureMemory::crash`] drops
+//! all of it, and
 //! [`SecureMemory::recover`] must then reconstruct a verified state
 //! from the NVM image alone, which is what makes the paper's
 //! experiments honest: tampering and torn persists really are detected
@@ -31,7 +32,7 @@
 
 use std::collections::BTreeSet;
 
-use triad_cache::{BatchPrefetcher, Cache, PrefetchClass, Replacement};
+use triad_cache::{BatchPrefetcher, Cache, PrefetchClass, Replacement, ValueAccess};
 use triad_crypto::aes::Aes128;
 use triad_crypto::counter::{AnyCounterBlock, IncrementOutcome};
 use triad_crypto::ctr::{decrypt_block, encrypt_block, Iv};
@@ -348,6 +349,22 @@ fn derive_key(seed: u64, purpose: u64) -> [u8; 16] {
     k
 }
 
+/// What an MT-cache line holds: a BMT node or a MAC block (8 tags).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MtLine {
+    Node(NodeBuf),
+    Mac(NodeBuf),
+}
+
+impl MtLine {
+    /// The line's 64 bytes, whichever kind it is.
+    fn buf(&self) -> NodeBuf {
+        match *self {
+            MtLine::Node(buf) | MtLine::Mac(buf) => buf,
+        }
+    }
+}
+
 /// A block displaced from an on-chip structure, carrying its current
 /// value. Victims are *queued* and drained iteratively at the end of
 /// each top-level operation — never handled recursively — so no two
@@ -399,17 +416,13 @@ pub struct SecureMemory {
     aes_volatile: Aes128,
     mac_engine: MacEngine,
     pub(crate) mc: MemoryController,
-    pub(crate) l3: Cache,
-    pub(crate) ctr_cache: Cache,
-    pub(crate) mt_cache: Cache,
-    /// Plaintext of data blocks resident in L3.
-    pub(crate) plain: BlockMap<Block>,
-    /// Current values of counter blocks resident in the counter cache.
-    pub(crate) counters: BlockMap<AnyCounterBlock>,
-    /// Current values of BMT nodes resident in the MT cache.
-    pub(crate) nodes: BlockMap<NodeBuf>,
-    /// Current values of MAC blocks resident in the MT cache.
-    pub(crate) macs: BlockMap<NodeBuf>,
+    /// Shared L3; each line holds its data block's plaintext.
+    pub(crate) l3: Cache<Block>,
+    /// Counter cache; each line holds its counter block's current value.
+    pub(crate) ctr_cache: Cache<AnyCounterBlock>,
+    /// Merkle-tree cache; each line holds a BMT node's or a MAC
+    /// block's current value.
+    pub(crate) mt_cache: Cache<MtLine>,
     pub(crate) regs: PersistentRegisters,
     pub(crate) state: EngineState,
     pub(crate) counter_persistence: CounterPersistence,
@@ -474,13 +487,21 @@ impl SecureMemory {
             aes_volatile: Aes128::new(&derive_key(key_seed, 1)),
             mac_engine: MacEngine::new(derive_key(key_seed, 2)),
             mc: MemoryController::new(config.mem),
-            l3: Cache::new("l3", config.l3, Replacement::Lru),
-            ctr_cache: Cache::new("ctr", config.security.counter_cache, Replacement::Lru),
-            mt_cache: Cache::new("mt", config.security.mt_cache, Replacement::Lru),
-            plain: BlockMap::new(),
-            counters: BlockMap::new(),
-            nodes: BlockMap::new(),
-            macs: BlockMap::new(),
+            l3: Cache::with_values("l3", config.l3, Replacement::Lru, [0; BLOCK_BYTES]),
+            ctr_cache: Cache::with_values(
+                "ctr",
+                config.security.counter_cache,
+                Replacement::Lru,
+                AnyCounterBlock::fresh(
+                    config.security.counter_mode == triad_sim::config::CounterMode::Split,
+                ),
+            ),
+            mt_cache: Cache::with_values(
+                "mt",
+                config.security.mt_cache,
+                Replacement::Lru,
+                MtLine::Node(NodeBuf::zeroed()),
+            ),
             regs: PersistentRegisters::new(),
             state: EngineState::Running,
             counter_persistence,
@@ -772,62 +793,92 @@ impl SecureMemory {
 
     // ----- cache wrappers: victims are queued, never handled inline --------
 
-    pub(crate) fn l3_touch(&mut self, block: BlockAddr, write: bool) -> bool {
-        let out = self.l3.access(block, write);
-        if let Some(v) = out.victim {
-            let plain = self.plain.remove(v.addr.0).unwrap_or([0; BLOCK_BYTES]);
+    /// Accesses `block` in L3, queueing a victim with its plaintext.
+    /// Returns whether the access hit, and the line's plaintext: zeros
+    /// after a miss, until the caller fills it.
+    fn l3_access(&mut self, block: BlockAddr, write: bool) -> (bool, &mut Block) {
+        let ValueAccess { hit, value, victim } = self.l3.access_value(block, write);
+        if let Some(v) = victim {
             self.evict_queue.push(EvictItem::Data {
                 addr: v.addr,
-                plain,
+                plain: v.value,
                 dirty: v.dirty,
             });
         }
-        out.hit
+        (hit, value)
     }
 
-    /// Touches a counter-cache line. A victim that is an unhashed
-    /// leaf's counter settles first, while its value is still on chip.
-    fn ctr_touch(&mut self, block: BlockAddr, write: bool) -> Result<bool> {
-        let out = self.ctr_cache.access(block, write);
-        if let Some(v) = out.victim {
-            if self.counter_unhashed(v.addr) {
-                self.settle()?;
-            }
-            if let Some(value) = self.counters.remove(v.addr.0) {
-                self.evict_queue.push(EvictItem::Counter {
-                    addr: v.addr,
-                    value,
-                    dirty: v.dirty,
-                });
-            }
-        }
-        Ok(out.hit)
+    /// Stores `data` into L3 as a dirty line, superseding any pending
+    /// write-back of the same block.
+    pub(crate) fn l3_store(&mut self, block: BlockAddr, data: Block) {
+        self.reclaim(block);
+        *self.l3_access(block, true).1 = data;
     }
 
-    /// Touches an MT-cache line (BMT node or MAC block). A victim that
-    /// is a path node of an unhashed leaf settles first, while its
-    /// value is still on chip.
-    fn mt_touch(&mut self, block: BlockAddr, write: bool) -> Result<bool> {
-        let out = self.mt_cache.access(block, write);
-        if let Some(v) = out.victim {
-            if self.node_unhashed(v.addr) {
+    /// Puts `value` into counter-cache line `block`, allocating it on a
+    /// miss. A victim that is an unhashed leaf's counter settles first,
+    /// while its value is still readable at its own address; the victim
+    /// then leaves with its value.
+    fn ctr_put(&mut self, block: BlockAddr, value: AnyCounterBlock, write: bool) -> Result<()> {
+        if let Some(line) = self.ctr_cache.touch(block, write) {
+            *line = value;
+            return Ok(());
+        }
+        if !self.unhashed.is_empty() {
+            let victim = self.ctr_cache.would_evict(block).map(|(addr, _)| addr);
+            if victim.is_some_and(|addr| self.counter_unhashed(addr)) {
                 self.settle()?;
             }
-            if let Some(value) = self.nodes.remove(v.addr.0) {
-                self.evict_queue.push(EvictItem::Node {
-                    addr: v.addr,
-                    value,
-                    dirty: v.dirty,
-                });
-            } else if let Some(value) = self.macs.remove(v.addr.0) {
-                self.evict_queue.push(EvictItem::Mac {
-                    addr: v.addr,
-                    value,
-                    dirty: v.dirty,
-                });
+        }
+        let ValueAccess {
+            value: line,
+            victim,
+            ..
+        } = self.ctr_cache.access_value(block, write);
+        *line = value;
+        if let Some(v) = victim {
+            self.evict_queue.push(EvictItem::Counter {
+                addr: v.addr,
+                value: v.value,
+                dirty: v.dirty,
+            });
+        }
+        Ok(())
+    }
+
+    /// Puts `value` (a BMT node or a MAC block) into MT-cache line
+    /// `block`, allocating it on a miss. A victim that is a path node
+    /// of an unhashed leaf settles first, while its value is still
+    /// readable at its own address; the victim then leaves with its
+    /// value.
+    fn mt_put(&mut self, block: BlockAddr, value: MtLine, write: bool) -> Result<()> {
+        if let Some(line) = self.mt_cache.touch(block, write) {
+            *line = value;
+            return Ok(());
+        }
+        if !self.unhashed.is_empty() {
+            let victim = match self.mt_cache.would_evict(block) {
+                Some((addr, MtLine::Node(_))) => Some(addr),
+                _ => None,
+            };
+            if victim.is_some_and(|addr| self.node_unhashed(addr)) {
+                self.settle()?;
             }
         }
-        Ok(out.hit)
+        let ValueAccess {
+            value: line,
+            victim,
+            ..
+        } = self.mt_cache.access_value(block, write);
+        *line = value;
+        if let Some(v) = victim {
+            let (addr, dirty) = (v.addr, v.dirty);
+            self.evict_queue.push(match v.value {
+                MtLine::Node(value) => EvictItem::Node { addr, value, dirty },
+                MtLine::Mac(value) => EvictItem::Mac { addr, value, dirty },
+            });
+        }
+        Ok(())
     }
 
     /// Whether counter block `addr` belongs to an unhashed leaf.
@@ -842,9 +893,9 @@ impl SecureMemory {
         self.unhashed.contains(&(kind, leaf))
     }
 
-    /// Whether `addr` is a resident BMT node on an unhashed leaf's path.
+    /// Whether BMT node `addr` is on an unhashed leaf's path.
     fn node_unhashed(&self, addr: BlockAddr) -> bool {
-        if self.unhashed.is_empty() || !self.nodes.contains_key(addr.0) {
+        if self.unhashed.is_empty() {
             return false;
         }
         let Some(kind) = self.map.region_of(addr.base()) else {
@@ -986,12 +1037,15 @@ impl SecureMemory {
                     "BMT parent ({p_level}, {p_index}) has no in-memory address"
                 ))
             })?;
-        let entry = self.nodes.get_mut(addr.0).ok_or_else(|| {
-            SecureMemoryError::internal(format!("ensure_node left no resident node at {addr}"))
-        })?;
-        entry.set_slot(slot, hash);
-        self.mt_touch(addr, true)?;
-        Ok(())
+        match self.mt_cache.touch(addr, true) {
+            Some(MtLine::Node(node)) => {
+                node.set_slot(slot, hash);
+                Ok(())
+            }
+            _ => Err(SecureMemoryError::internal(format!(
+                "ensure_node left no resident node at {addr}"
+            ))),
+        }
     }
 
     // ----- metadata fetch with verification ---------------------------------
@@ -1010,16 +1064,13 @@ impl SecureMemory {
             return Ok((self.root(kind), now));
         }
         let addr = self.node_addr(kind, level, index)?;
-        if let Some(buf) = self.nodes.get(addr.0) {
-            let buf = *buf;
-            let lat = self.mt_cache.latency();
-            self.mt_touch(addr, false)?;
-            return Ok((buf, now + lat));
+        if let Some(line) = self.mt_cache.touch(addr, false) {
+            let buf = line.buf();
+            return Ok((buf, now + self.mt_cache.latency()));
         }
         // A pending write-back holds the newest value.
         if let Some(EvictItem::Node { value, dirty, .. }) = self.reclaim(addr) {
-            self.nodes.insert(addr.0, value);
-            self.mt_touch(addr, dirty)?;
+            self.mt_put(addr, MtLine::Node(value), dirty)?;
             return Ok((value, now + self.mt_cache.latency()));
         }
         // Fetch from NVM and verify against the parent, whose slots
@@ -1052,8 +1103,7 @@ impl SecureMemory {
             });
         }
         let buf = NodeBuf(bytes);
-        self.nodes.insert(addr.0, buf);
-        self.mt_touch(addr, false)?;
+        self.mt_put(addr, MtLine::Node(buf), false)?;
         let done = t.max(tp) + self.config.security.hash_latency;
         self.hists.node_fetch_ns.record(done.since(now).as_ns());
         Ok((buf, done))
@@ -1072,9 +1122,7 @@ impl SecureMemory {
             return Ok(());
         }
         let addr = self.node_addr(kind, level, index)?;
-        self.nodes.insert(addr.0, buf);
-        self.mt_touch(addr, dirty)?;
-        Ok(())
+        self.mt_put(addr, MtLine::Node(buf), dirty)
     }
 
     /// Returns the current counter block for leaf `leaf`, fetching and
@@ -1087,15 +1135,11 @@ impl SecureMemory {
         now: Time,
     ) -> Result<(AnyCounterBlock, Time)> {
         let addr = self.layout(kind).counter_start + leaf;
-        if let Some(cb) = self.counters.get(addr.0) {
-            let cb = *cb;
-            let lat = self.ctr_cache.latency();
-            self.ctr_touch(addr, false)?;
-            return Ok((cb, now + lat));
+        if let Some(&mut cb) = self.ctr_cache.touch(addr, false) {
+            return Ok((cb, now + self.ctr_cache.latency()));
         }
         if let Some(EvictItem::Counter { value, dirty, .. }) = self.reclaim(addr) {
-            self.counters.insert(addr.0, value);
-            self.ctr_touch(addr, dirty)?;
+            self.ctr_put(addr, value, dirty)?;
             return Ok((value, now + self.ctr_cache.latency()));
         }
         // Fetch and verify: the parent's slots must hold every deferred
@@ -1132,8 +1176,7 @@ impl SecureMemory {
                 block: addr,
             });
         };
-        self.counters.insert(addr.0, cb);
-        self.ctr_touch(addr, false)?;
+        self.ctr_put(addr, cb, false)?;
         let done = t.max(tp) + self.config.security.hash_latency;
         self.hists.counter_fetch_ns.record(done.since(now).as_ns());
         Ok((cb, done))
@@ -1221,15 +1264,12 @@ impl SecureMemory {
         now: Time,
     ) -> Result<(NodeBuf, Time)> {
         let addr = self.layout(kind).mac_start + data_index / 8;
-        if let Some(buf) = self.macs.get(addr.0) {
-            let buf = *buf;
-            let lat = self.mt_cache.latency();
-            self.mt_touch(addr, false)?;
-            return Ok((buf, now + lat));
+        if let Some(line) = self.mt_cache.touch(addr, false) {
+            let buf = line.buf();
+            return Ok((buf, now + self.mt_cache.latency()));
         }
         if let Some(EvictItem::Mac { value, dirty, .. }) = self.reclaim(addr) {
-            self.macs.insert(addr.0, value);
-            self.mt_touch(addr, dirty)?;
+            self.mt_put(addr, MtLine::Mac(value), dirty)?;
             return Ok((value, now + self.mt_cache.latency()));
         }
         let (bytes, t) = match self.batch_forward(addr) {
@@ -1238,8 +1278,7 @@ impl SecureMemory {
         };
         self.stats.mac_reads += 1;
         let buf = NodeBuf(bytes);
-        self.macs.insert(addr.0, buf);
-        self.mt_touch(addr, false)?;
+        self.mt_put(addr, MtLine::Mac(buf), false)?;
         self.hists.mac_fetch_ns.record(t.since(now).as_ns());
         Ok((buf, t))
     }
@@ -1292,8 +1331,7 @@ impl SecureMemory {
         let (mut cb, mut t) = self.ensure_counter(kind, leaf, now)?;
         let old_cb = cb;
         let outcome = cb.increment(slot);
-        self.counters.insert(counter_addr.0, cb);
-        self.ctr_touch(counter_addr, true)?;
+        self.ctr_put(counter_addr, cb, true)?;
 
         // 2. Encrypt and MAC the block.
         let pair = cb.pair(slot);
@@ -1302,8 +1340,7 @@ impl SecureMemory {
         let tag = self.data_tag(block, &ct, &iv);
         let (mut mac_buf, t_mac) = self.ensure_mac_block(kind, data_index, now)?;
         mac_buf.set_slot((data_index % 8) as usize, tag);
-        self.macs.insert(mac_addr.0, mac_buf);
-        self.mt_touch(mac_addr, true)?;
+        self.mt_put(mac_addr, MtLine::Mac(mac_buf), true)?;
         t = t.max(t_mac) + self.config.security.hash_latency;
 
         // 3. Minor overflow: the whole page re-encrypts under the new
@@ -1317,8 +1354,8 @@ impl SecureMemory {
             // The re-encryption rewrote the page's other tags, some of
             // them in this block's MAC line: stage the line as it
             // stands now, not the copy taken at step 2.
-            if let Some(buf) = self.macs.get(mac_addr.0) {
-                mac_buf = *buf;
+            if let Some(line) = self.mt_cache.value(mac_addr) {
+                mac_buf = line.buf();
             }
         }
 
@@ -1464,7 +1501,7 @@ impl SecureMemory {
                 EvictItem::Data { addr, plain, .. } if *addr == block => Some(*plain),
                 _ => None,
             });
-            let plaintext = if let Some(p) = self.plain.get(block.0) {
+            let plaintext = if let Some(p) = self.l3.value(block) {
                 *p
             } else if let Some(p) = queued_plain {
                 p
@@ -1489,8 +1526,7 @@ impl SecureMemory {
             let (mut mac_buf, _) = self.ensure_mac_block(kind, data_index, now)?;
             mac_buf.set_slot((data_index % 8) as usize, new_tag);
             let mac_addr = mac_start + data_index / 8;
-            self.macs.insert(mac_addr.0, mac_buf);
-            self.mt_touch(mac_addr, true)?;
+            self.mt_put(mac_addr, MtLine::Mac(mac_buf), true)?;
             let line = mac_addr - first_mac;
             if line >= u64::from(u64::BITS) {
                 return Err(SecureMemoryError::internal(format!(
@@ -1518,8 +1554,8 @@ impl SecureMemory {
             while touched_macs != 0 {
                 let mac_addr = first_mac + u64::from(touched_macs.trailing_zeros());
                 touched_macs &= touched_macs - 1;
-                if let Some(buf) = self.macs.get(mac_addr.0) {
-                    let data = buf.0;
+                if let Some(line) = self.mt_cache.value(mac_addr) {
+                    let data = line.buf().0;
                     if self.batch.is_open() {
                         self.batch_stage_raw(crate::batch::WriteClass::Mac, mac_addr, data);
                     } else {
@@ -1568,13 +1604,18 @@ impl SecureMemory {
                 index /= arity;
                 let addr = self.node_addr(kind, level, index)?;
                 // `ensure_node`'s resident hit, then `put_node`'s touch.
-                self.mt_touch(addr, false)?;
                 let persist_this = level <= persist_levels;
-                self.mt_touch(addr, !persist_this)?;
+                let line = if self.mt_cache.touch(addr, false).is_some() {
+                    self.mt_cache.touch(addr, !persist_this)
+                } else {
+                    None
+                };
+                let Some(&mut MtLine::Node(buf)) = line else {
+                    return Err(SecureMemoryError::internal(format!(
+                        "lazy walk lost resident node {addr}"
+                    )));
+                };
                 if persist_this {
-                    let buf = self.nodes.get(addr.0).ok_or_else(|| {
-                        SecureMemoryError::internal(format!("lazy walk lost resident node {addr}"))
-                    })?;
                     staged.push(StagedWrite { addr, data: buf.0 });
                 }
                 t = t.max(hit) + hash_latency;
@@ -1633,8 +1674,7 @@ impl SecureMemory {
     /// the root are resident on chip (the lazy walk's condition).
     fn path_resident(&self, kind: RegionKind, leaf: u64) -> bool {
         let layout = self.layout(kind);
-        let counter = layout.counter_start + leaf;
-        if !self.counters.contains_key(counter.0) {
+        if !self.ctr_cache.probe(layout.counter_start + leaf) {
             return false;
         }
         let geom = &layout.geometry;
@@ -1642,7 +1682,7 @@ impl SecureMemory {
         for level in 1..geom.root_level() {
             index /= geom.arity();
             match layout.bmt_node_addr(level, index) {
-                Some(addr) if self.nodes.contains_key(addr.0) && self.mt_cache.probe(addr) => {}
+                Some(addr) if self.mt_cache.probe(addr) => {}
                 _ => return false,
             }
         }
@@ -1710,7 +1750,7 @@ impl SecureMemory {
         hashes.clear();
         for &leaf in indices.iter() {
             let addr = counter_start + leaf;
-            let cb = self.counters.get(addr.0).ok_or_else(|| {
+            let cb = self.ctr_cache.value(addr).ok_or_else(|| {
                 SecureMemoryError::internal(format!("unhashed counter {addr} left the chip"))
             })?;
             hashes.push(bmt::leaf_hash(&self.mac_engine, kind, leaf, &cb.to_bytes()));
@@ -1724,9 +1764,11 @@ impl SecureMemory {
             while i < indices.len() {
                 let index = indices[i] / arity;
                 let addr = self.node_addr(kind, level, index)?;
-                let node = self.nodes.get_mut(addr.0).ok_or_else(|| {
-                    SecureMemoryError::internal(format!("unhashed path node {addr} left the chip"))
-                })?;
+                let Some(MtLine::Node(node)) = self.mt_cache.value_mut(addr) else {
+                    return Err(SecureMemoryError::internal(format!(
+                        "unhashed path node {addr} left the chip"
+                    )));
+                };
                 while i < indices.len() && indices[i] / arity == index {
                     node.set_slot((indices[i] % arity) as usize, hashes[i]);
                     i += 1;
@@ -1785,32 +1827,62 @@ impl SecureMemory {
             });
         }
         self.stats.loads += 1;
-        if self.l3_touch(block, false) {
+        let (hit, &mut data) = self.l3_access(block, false);
+        if hit {
             self.stats.l3_load_hits += 1;
-            let data = self.plain.get(block.0).copied().unwrap_or([0; BLOCK_BYTES]);
             self.drain_evictions(now)?;
             let done = now + self.l3.latency();
             self.hists.op_latency_ns.record(done.since(now).as_ns());
             return Ok((data, done));
         }
-        // The block may be sitting in its own pending write-back.
+        // The miss allocated the line, holding zeros. The block may be
+        // sitting in its own pending write-back.
         if let Some(EvictItem::Data { plain, dirty, .. }) = self.reclaim(block) {
-            self.plain.insert(block.0, plain);
-            self.l3.access(block, dirty);
+            if let Some(line) = self.l3.touch(block, dirty) {
+                *line = plain;
+            }
             self.drain_evictions(now)?;
             let done = now + self.l3.latency();
             self.hists.op_latency_ns.record(done.since(now).as_ns());
             return Ok((plain, done));
         }
-        // Fresh non-persistent blocks read as zeros (OS zero page).
+        // Fresh non-persistent blocks read as zeros (OS zero page),
+        // which the new line already holds.
         if kind == RegionKind::NonPersistent && !self.np_written.contains_key(block.0) {
             self.stats.fresh_reads += 1;
-            self.plain.insert(block.0, [0; BLOCK_BYTES]);
             let (_, t) = self.mc.read(block, now);
             self.drain_evictions(now)?;
             self.hists.op_latency_ns.record(t.since(now).as_ns());
             return Ok(([0; BLOCK_BYTES], t));
         }
+        // A block that fails verification leaves no line behind, so a
+        // retry fetches and verifies it again; the victim the miss
+        // displaced stays queued.
+        let (plaintext, done) = match self.fetch_verified(kind, block, now) {
+            Ok(fetched) => fetched,
+            Err(e) => {
+                self.l3.invalidate(block);
+                return Err(e);
+            }
+        };
+        let line = self.l3.value_mut(block).ok_or_else(|| {
+            SecureMemoryError::internal(format!("L3 line of {block} vanished during its fill"))
+        })?;
+        *line = plaintext;
+        self.drain_evictions(now)?;
+        self.hists.op_latency_ns.record(done.since(now).as_ns());
+        Ok((plaintext, done))
+    }
+
+    /// Fetches data block `block` from NVM with its counter and MAC,
+    /// decrypts and verifies it: the fill of an L3 load miss. Returns
+    /// plaintext and completion time.
+    fn fetch_verified(
+        &mut self,
+        kind: RegionKind,
+        block: BlockAddr,
+        now: Time,
+    ) -> Result<(Block, Time)> {
         let layout = self.layout(kind);
         let data_index = layout.data_index(block);
         let leaf = data_index / layout.counter_coverage;
@@ -1833,12 +1905,9 @@ impl SecureMemory {
             }
             plaintext
         };
-        self.plain.insert(block.0, plaintext);
-        self.drain_evictions(now)?;
         // Decryption overlaps the data fetch (counter-mode); the MAC
         // check costs one hash after everything arrives.
         let done = t_data.max(t_ctr).max(t_mac) + self.config.security.hash_latency;
-        self.hists.op_latency_ns.record(done.since(now).as_ns());
         Ok((plaintext, done))
     }
 
@@ -1864,10 +1933,7 @@ impl SecureMemory {
         if kind == RegionKind::NonPersistent {
             self.np_written.insert(block.0, ());
         }
-        // Supersede any pending write-back of the same block.
-        self.reclaim(block);
-        self.plain.insert(block.0, data);
-        self.l3_touch(block, true);
+        self.l3_store(block, data);
         self.drain_evictions(now)?;
         let done = now + self.l3.latency();
         self.hists.op_latency_ns.record(done.since(now).as_ns());
@@ -1895,9 +1961,7 @@ impl SecureMemory {
             });
         }
         self.stats.stores += 1;
-        self.reclaim(block);
-        self.plain.insert(block.0, data);
-        self.l3_touch(block, true);
+        self.l3_store(block, data);
         // Under epoch persistency (Liu et al., HPCA'18 — cited by the
         // paper as an orthogonal relaxation) the persist is deferred to
         // the epoch boundary: within an epoch only program order, not
@@ -1964,8 +2028,10 @@ impl SecureMemory {
         let mut seen = BTreeSet::new();
         let mut members = Vec::new();
         for block in pending {
-            if seen.insert(block.0) && self.l3.probe_dirty(block) {
-                let plaintext = self.plain.get(block.0).copied().unwrap_or([0; BLOCK_BYTES]);
+            if !seen.insert(block.0) {
+                continue;
+            }
+            if let Some(&plaintext) = self.l3.dirty_value(block) {
                 members.push((block, plaintext));
             }
         }
@@ -1993,14 +2059,13 @@ impl SecureMemory {
     /// Same classes as [`SecureMemory::persist_block`].
     pub fn flush_block(&mut self, block: BlockAddr, now: Time) -> Result<Time> {
         self.check_running()?;
-        if !self.l3.probe_dirty(block) {
+        let Some(&plaintext) = self.l3.dirty_value(block) else {
             return Ok(now + self.l3.latency());
-        }
+        };
         self.stats.persists += 1;
         if self.persist_boundary_crash(now) {
             return Err(SecureMemoryError::NeedsRecovery);
         }
-        let plaintext = self.plain.get(block.0).copied().unwrap_or([0; BLOCK_BYTES]);
         let t = self.writeback_data(block, plaintext, now + self.l3.latency())?;
         self.l3.flush(block);
         self.drain_evictions(now)?;
@@ -2075,10 +2140,6 @@ impl SecureMemory {
         self.l3.lose_all();
         self.ctr_cache.lose_all();
         self.mt_cache.lose_all();
-        self.plain.clear();
-        self.counters.clear();
-        self.nodes.clear();
-        self.macs.clear();
         self.np_written.clear();
         self.evict_queue.clear();
         self.epoch = None;
@@ -2257,42 +2318,22 @@ impl SecureMemory {
     /// violations (empty = consistent). Intended for tests and
     /// debugging; O(cached state + leaves), not O(memory contents).
     ///
-    /// Invariants checked:
-    /// 1. volatile value maps and cache residency agree 1:1,
-    /// 2. every queued eviction victim is absent from the caches,
-    /// 3. for every *uncached* counter block, the NVM copy's hash
+    /// Each on-chip value lives in its cache line, so values and
+    /// residency cannot disagree. Invariants checked:
+    /// 1. every queued eviction victim is absent from the caches,
+    /// 2. for every *uncached* counter block, the NVM copy's hash
     ///    matches its parent's slot (the §3.2 lazy-propagation
     ///    invariant that makes verification sound).
     pub fn validate_consistency(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        // 1. Map <-> cache agreement.
-        for addr in self.counters.keys() {
-            if !self.ctr_cache.probe(BlockAddr(addr)) {
-                problems.push(format!("counter {addr:#x} in map but not cached"));
-            }
-        }
-        for addr in self.nodes.keys().chain(self.macs.keys()) {
-            if !self.mt_cache.probe(BlockAddr(addr)) {
-                problems.push(format!("metadata {addr:#x} in map but not cached"));
-            }
-        }
-        for addr in self.plain.keys() {
-            if !self.l3.probe(BlockAddr(addr)) {
-                problems.push(format!("plaintext {addr:#x} in map but not in L3"));
-            }
-        }
-        // 2. Queued victims are off-chip.
+        // 1. Queued victims are off-chip.
         for item in &self.evict_queue {
             let a = item.addr();
-            if self.counters.contains_key(a.0)
-                || self.nodes.contains_key(a.0)
-                || self.macs.contains_key(a.0)
-                || self.plain.contains_key(a.0)
-            {
+            if self.l3.probe(a) || self.ctr_cache.probe(a) || self.mt_cache.probe(a) {
                 problems.push(format!("queued victim {a} still resident"));
             }
         }
-        // 3. Uncached counters verify against their parents.
+        // 2. Uncached counters verify against their parents.
         for kind in RegionKind::ALL {
             let layout = self.layout(kind);
             if layout.is_empty() {
@@ -2308,18 +2349,15 @@ impl SecureMemory {
                 }
                 let paddr = layout.bmt_node_addr(pl, pi)?;
                 let buf = self
-                    .nodes
-                    .get(paddr.0)
-                    .copied()
-                    .unwrap_or(NodeBuf(store.read(paddr)));
+                    .mt_cache
+                    .value(paddr)
+                    .map_or_else(|| NodeBuf(store.read(paddr)), MtLine::buf);
                 Some(buf.slot(slot))
             };
             let osiris = matches!(self.counter_persistence, CounterPersistence::Osiris { .. });
             for leaf in 0..geom.leaves() {
                 let addr = layout.counter_start + leaf;
-                if self.counters.contains_key(addr.0)
-                    || self.evict_queue.iter().any(|e| e.addr() == addr)
-                {
+                if self.ctr_cache.probe(addr) || self.evict_queue.iter().any(|e| e.addr() == addr) {
                     continue; // on-chip copies may legitimately run ahead
                 }
                 let bytes = store.read(addr);

@@ -74,9 +74,21 @@ impl SplitMix64 {
     ///
     /// Panics if `bound` is zero.
     pub fn below(&mut self, bound: u64) -> u64 {
+        let v = self.peek_below(bound);
+        self.state = self.state.wrapping_add(GAMMA);
+        v
+    }
+
+    /// The value the next [`SplitMix64::below`] with this `bound`
+    /// returns, without advancing the stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` is zero.
+    pub fn peek_below(&self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
         // Multiply-shift: unbiased enough for replacement decisions.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
+        ((mix(self.state.wrapping_add(GAMMA)) as u128 * bound as u128) >> 64) as u64
     }
 
     /// Uniform value in the half-open range `lo..hi`.
@@ -162,6 +174,16 @@ mod tests {
             seen[g.below(8) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
+    }
+
+    #[test]
+    fn peek_below_predicts_below() {
+        let mut g = SplitMix64::new(5);
+        for bound in (1..200).chain([u64::MAX]) {
+            let peeked = g.peek_below(bound);
+            assert_eq!(peeked, g.peek_below(bound), "peeking does not advance");
+            assert_eq!(g.below(bound), peeked);
+        }
     }
 
     #[test]

@@ -83,10 +83,10 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
-        let bucket = 64 - value.leading_zeros().min(63) as usize;
-        // value 0 → bucket 0 handled by min above? map explicitly:
-        let bucket = if value == 0 { 0 } else { bucket.min(63) };
+        // The value's bit length; bucket 63 also takes 64-bit values.
+        let bucket = (64 - value.leading_zeros() as usize).min(63);
         self.buckets[bucket] += 1;
         self.count += 1;
         self.sum += value as u128;

@@ -172,3 +172,37 @@ fn tampering_non_persistent_region_cannot_poison_next_boot() {
     m.write(np, b"clean").unwrap();
     assert_eq!(&m.read(np).unwrap()[..5], b"clean");
 }
+
+#[test]
+fn failed_verification_fails_again_on_retry() {
+    // A read that fails verification must leave nothing on chip that a
+    // retry could return as if it had verified.
+    for scheme in schemes() {
+        for target in ["data", "mac", "counter"] {
+            let (mut m, p) = victim(scheme);
+            let layout = m.memory_map().persistent().clone();
+            let (block, byte) = match target {
+                "data" => (p.block(), 3),
+                "mac" => (
+                    layout.mac_block_of(p.block()),
+                    layout.mac_slot_of(p.block()) * 8,
+                ),
+                _ => (layout.counter_block_of(p.block()), 9),
+            };
+            tamper(&mut m, block, byte);
+            m.recover().unwrap();
+            for attempt in 1..=2 {
+                let read = m.read(p);
+                assert!(
+                    matches!(
+                        read,
+                        Err(SecureMemoryError::MacMismatch { .. }
+                            | SecureMemoryError::IntegrityViolation { .. }
+                            | SecureMemoryError::Unverifiable { .. })
+                    ),
+                    "{scheme}: {target} tampering, read {attempt} gave {read:?}"
+                );
+            }
+        }
+    }
+}
